@@ -36,6 +36,13 @@ lint:
 	  echo "      and per-event meter charges (use fast paths and batched charging):"; \
 	  echo "$$hits"; exit 1; \
 	fi
+	@hits=$$(grep -nE "(with|exception) +_ *->" lib/exec/specialize.ml || true); \
+	if [ -n "$$hits" ]; then \
+	  echo "lint: specialized bodies must not catch every exception (that"; \
+	  echo "      swallows Stack_overflow and Out_of_memory); name the one"; \
+	  echo "      you handle:"; \
+	  echo "$$hits"; exit 1; \
+	fi
 	@hits=$$(grep -rn "Interp\.run\|Ds\.find\|\.Ds\.call" lib/dataplane --include='*.ml' || true); \
 	if [ -n "$$hits" ]; then \
 	  echo "lint: the sharded dataplane's per-packet paths must stay on the"; \

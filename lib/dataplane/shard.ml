@@ -171,7 +171,6 @@ let drain ?(parallel = false) t stream =
   (* copies, slice sizing and worker spawning happen before the clock
      starts: the timed region is steering + execution, the two terms the
      contract prices *)
-  let pool = if parallel && shards > 1 then Some (workers t) else None in
   let entries =
     Array.of_list
       (List.map
@@ -179,31 +178,35 @@ let drain ?(parallel = false) t stream =
            (Net.Packet.copy e.packet, e.now, e.in_port))
          stream)
   in
-  let hist = load_histogram t.plan stream in
-  let slices =
-    Array.init shards (fun s -> Array.make (max 1 hist.(s)) (-1))
-  in
-  let fill = Array.make shards 0 in
-  let exec_slice s =
-    let r = t.runners.(s) in
-    let slice = slices.(s) and len = fill.(s) in
-    for k = 0 to len - 1 do
-      let pkt, now, in_port = entries.(slice.(k)) in
-      Exec.Meter.reset_observations r.meter;
-      ignore (Exec.Specialize.exec r.sp ~in_port ~now pkt : int)
-    done
-  in
-  let t0 = Unix.gettimeofday () in
   if shards = 1 then begin
-    (* one shard bypasses the dispatcher entirely *)
+    (* one shard bypasses the dispatcher entirely: no histogram, no
+       slices *)
     let r = t.runners.(0) in
+    let t0 = Unix.gettimeofday () in
     Array.iter
       (fun (pkt, now, in_port) ->
         Exec.Meter.reset_observations r.meter;
         ignore (Exec.Specialize.exec r.sp ~in_port ~now pkt : int))
-      entries
+      entries;
+    Unix.gettimeofday () -. t0
   end
   else begin
+    let pool = if parallel then Some (workers t) else None in
+    let hist = load_histogram t.plan stream in
+    let slices =
+      Array.init shards (fun s -> Array.make (max 1 hist.(s)) (-1))
+    in
+    let fill = Array.make shards 0 in
+    let exec_slice s =
+      let r = t.runners.(s) in
+      let slice = slices.(s) and len = fill.(s) in
+      for k = 0 to len - 1 do
+        let pkt, now, in_port = entries.(slice.(k)) in
+        Exec.Meter.reset_observations r.meter;
+        ignore (Exec.Specialize.exec r.sp ~in_port ~now pkt : int)
+      done
+    in
+    let t0 = Unix.gettimeofday () in
     (* steering pass: the serialized dispatch term *)
     Array.iteri
       (fun i (pkt, _now, in_port) ->
@@ -217,14 +220,14 @@ let drain ?(parallel = false) t stream =
               fill.(s) <- fill.(s) + 1
             done)
       entries;
-    match pool with
+    (match pool with
     | Some w -> Exec.Pool.Workers.run w exec_slice
     | None ->
         for s = 0 to shards - 1 do
           exec_slice s
-        done
-  end;
-  Unix.gettimeofday () -. t0
+        done);
+    Unix.gettimeofday () -. t0
+  end
 
 let pp_result ppf r =
   Fmt.pf ppf "#%d shard %d %a ic=%d ma=%d" r.index r.shard

@@ -10,17 +10,20 @@
      specialized fast path ({!Ds.fast_path}), and reuses a preallocated
      argv.  The fast path reads keys in place and charges through a
      {!Ds.sink} that shares this runtime's deferred counters.
-   - Static instruction charges are packed per straight-line segment at
-     compile time: one closure adds the whole segment's per-kind counts
-     in a handful of array bumps, instead of one bump per IR node.
+   - Each block compiles to one fused closure chain of actions and
+     guards.  Static instruction charges never touch a counter on the
+     way: they accumulate at compile time along each path, and every
+     exit — a [Return], whether it ends the fall-through path or a guard
+     arm — applies its whole path's pack (RX framing + path + TX
+     framing) straight to the model in one step.
    - When the hardware model prices memory accesses independently of
      their address ({!Hw.Model.t.mem_bulk}), memory charges batch the
-     same way: statically countable accesses join the segment packs,
+     same way: statically countable accesses join the packs,
      dynamically counted ones (inside data-structure fast paths) bump
-     one extra deferred counter, and the whole packet's accesses retire
-     as a single bulk charge at flush.  Address-sensitive models (L1
-     tracking, burst windows) still see every access at its real
-     address, in program order.
+     one extra deferred counter, and the packet's accesses retire as a
+     bulk charge at its exit.  Address-sensitive models (L1 tracking,
+     burst windows) still see every access at its real address, in
+     program order.
    - Expressions compile to shape-specialized closures: variable reads
      fuse into their consumers (slot indices are known at bind time),
      comparisons compile to direct boolean tests that never materialize
@@ -30,18 +33,17 @@
      return outcome codes instead of raising, so the per-packet
      [Concrete.Returned] exception allocation disappears.
 
-   The specialized body is charge-equivalent, not charge-identical:
-   within one straight-line segment the charges land as a single batch,
-   so a packet that gets [Stuck] mid-segment can differ from the
-   interpreter by part of that segment's pack (completed packets — and
-   therefore everything a caller can observe across packets — are
-   exact: same outcomes, IC, MA, cycles, observations; see DESIGN
-   §12).  Batching is only sound when charges commute and nothing reads
-   the meter mid-packet, so [bind] falls back to {!Compiled.runner}
-   whenever the meter traces events, the model couples memory pricing
-   to instruction counts, the mode is Analysis, or any call site lacks
-   a fast path.  One runner API, three dispositions — callers never
-   need to know which they got. *)
+   The specialized body is charge-equivalent, not charge-identical: a
+   packet that gets [Stuck] has not reached an exit, so its path's
+   static pack never lands, and it can differ from the interpreter by
+   that prefix (completed packets — and therefore everything a caller
+   can observe across packets — are exact: same outcomes, IC, MA,
+   cycles, observations; see DESIGN §12).  Packing is only sound when
+   charges commute and nothing reads the meter mid-packet, so [bind]
+   falls back to {!Compiled.runner} whenever the meter traces events,
+   the model couples memory pricing to instruction counts, the mode is
+   Analysis, or any call site lacks a fast path.  One runner API, two
+   dispositions — callers never need to know which they got. *)
 
 open Ir
 
@@ -59,14 +61,15 @@ let i_call = Hw.Cost.kind_index Hw.Cost.Call
 let i_ret = Hw.Cost.kind_index Hw.Cost.Ret
 
 (* One deferred counter beyond the instruction kinds: batched memory
-   accesses, drained through the model's [mem_bulk] at flush.  Only
-   ever bumped when the model is address-insensitive. *)
+   accesses, drained through the model's [mem_bulk].  Only ever bumped
+   when the model is address-insensitive. *)
 let i_mem = nkinds
 let n_counts = nkinds + 1
 
-(* Outcome codes.  [k_next] is the block fall-through sentinel; the
-   codes are disjoint from it and from each other.  Forward's port
-   travels through [srt.out_port] so the code stays a bare int. *)
+(* Outcome codes.  [k_next] is the fall-through sentinel a rejoining
+   branch arm or loop body returns; the codes are disjoint from it and
+   from each other.  Forward's port travels through [srt.out_port] so
+   the code stays a bare int. *)
 let k_next = min_int
 let code_sent = 1
 let code_dropped = 2
@@ -78,132 +81,92 @@ type srt = {
   mutable packet : Net.Packet.t;
   slots : int array;
   counts : int array;
-      (** deferred charges: [nkinds] instr kinds plus batched mems *)
+      (** deferred charges of the data-structure fast paths: [nkinds]
+          instr kinds plus batched mems *)
   minstr : Hw.Cost.kind -> int -> unit;
   mmem : addr:int -> write:bool -> dependent:bool -> unit;
-  mbulk : int -> unit;  (** drains [counts.(i_mem)]; unused unbatched *)
+  mbulk : int -> unit;  (** retires batched mems; unused unbatched *)
   mutable out_port : int;  (** valid after the body returns [code_sent] *)
 }
 
-let bump rt i n =
-  let c = rt.counts in
-  Array.unsafe_set c i (Array.unsafe_get c i + n)
-
-let flush rt =
+(* Retire the deferred counters together with an exit's static pack, in
+   one pass: one model charge per kind either of them touched. *)
+let settle (pack : int array) rt =
   let c = rt.counts in
   for i = 0 to nkinds - 1 do
-    let n = Array.unsafe_get c i in
+    let n = Array.unsafe_get pack i + Array.unsafe_get c i in
     if n > 0 then begin
       Array.unsafe_set c i 0;
       rt.minstr (Array.unsafe_get Hw.Cost.kind_of_index i) n
     end
   done;
-  let m = Array.unsafe_get c i_mem in
+  let m = Array.unsafe_get pack i_mem + Array.unsafe_get c i_mem in
   if m > 0 then begin
     Array.unsafe_set c i_mem 0;
     rt.mbulk m
   end
 
-(* Seal the segment charges accumulated in [cur] into one pack-add
-   closure, specialized by the number of distinct counters touched. *)
-let seal (cur : int array) : (srt -> unit) option =
-  let pairs = ref [] in
-  for i = n_counts - 1 downto 0 do
-    if cur.(i) > 0 then pairs := (i, cur.(i)) :: !pairs;
-    cur.(i) <- 0
-  done;
-  match !pairs with
-  | [] -> None
-  | [ (i1, n1) ] -> Some (fun rt -> bump rt i1 n1)
-  | [ (i1, n1); (i2, n2) ] ->
-      Some
-        (fun rt ->
-          bump rt i1 n1;
-          bump rt i2 n2)
-  | [ (i1, n1); (i2, n2); (i3, n3) ] ->
-      Some
-        (fun rt ->
-          bump rt i1 n1;
-          bump rt i2 n2;
-          bump rt i3 n3)
-  | [ (i1, n1); (i2, n2); (i3, n3); (i4, n4) ] ->
-      Some
-        (fun rt ->
-          bump rt i1 n1;
-          bump rt i2 n2;
-          bump rt i3 n3;
-          bump rt i4 n4)
-  | pairs ->
-      let idx = Array.of_list (List.map fst pairs) in
-      let cnt = Array.of_list (List.map snd pairs) in
-      Some
-        (fun rt ->
-          for j = 0 to Array.length idx - 1 do
-            bump rt (Array.unsafe_get idx j) (Array.unsafe_get cnt j)
-          done)
+let no_charges = Array.make n_counts 0
+let flush rt = settle no_charges rt
 
-(* Top-level runners for the compiled step/action arrays: a local
-   [let rec] would capture its environment and allocate per packet. *)
-let rec run_acts (arr : (srt -> unit) array) n i rt =
-  if i < n then begin
-    (Array.unsafe_get arr i) rt;
-    run_acts arr n (i + 1) rt
+(* A static pack applied straight to the model: one charge per kind it
+   touches, nothing deferred.  Snapshots [pack]. *)
+let direct (pack : int array) : srt -> unit =
+  let idx = List.filter (fun i -> pack.(i) > 0) (List.init nkinds Fun.id) in
+  let ks = Array.of_list (List.map (Array.get Hw.Cost.kind_of_index) idx) in
+  let ns = Array.of_list (List.map (Array.get pack) idx) in
+  let nk = Array.length ks and m = pack.(i_mem) in
+  fun rt ->
+    for j = 0 to nk - 1 do
+      rt.minstr (Array.unsafe_get ks j) (Array.unsafe_get ns j)
+    done;
+    if m > 0 then rt.mbulk m
+
+(* The RX/TX framing of [Concrete.charge_rx]/[charge_tx]: instruction
+   counts (and, batched, their accesses) join the path's pack; an
+   unbatched model sees each access at its ring address. *)
+let add pack i n = pack.(i) <- pack.(i) + n
+
+let add_rx pack ~batch =
+  add pack i_alu 22;
+  add pack i_move 8;
+  add pack i_load 4;
+  add pack i_branch 2;
+  if batch then add pack i_mem 4
+
+let add_tx pack ~batch ~dropped =
+  if dropped then begin
+    add pack i_alu 4;
+    add pack i_store 1;
+    if batch then add pack i_mem 1
+  end
+  else begin
+    add pack i_alu 14;
+    add pack i_move 4;
+    add pack i_store 3;
+    add pack i_branch 1;
+    if batch then add pack i_mem 3
   end
 
-let rec run_steps (arr : (srt -> int) array) n i rt =
-  if i = n then k_next
+let rx_mems rt =
+  for i = 0 to 3 do
+    rt.mmem ~addr:(Concrete.rx_ring_base + (i * 8)) ~write:false
+      ~dependent:false
+  done
+
+let tx_mems ~dropped rt =
+  if dropped then
+    rt.mmem ~addr:Concrete.rx_ring_base ~write:true ~dependent:false
   else
-    let r = (Array.unsafe_get arr i) rt in
-    if r == k_next then run_steps arr n (i + 1) rt else r
+    for i = 0 to 2 do
+      rt.mmem ~addr:(Concrete.rx_ring_base + 64 + (i * 8)) ~write:true
+        ~dependent:false
+    done
 
-(* One straight-line segment — the sealed charge pack plus its dynamic
-   actions in program order — as a single unit closure, with the common
-   small arities unrolled. *)
-let seg_unit (pack : (srt -> unit) option) (acts : (srt -> unit) list) :
-    (srt -> unit) option =
-  match (pack, acts) with
-  | None, [] -> None
-  | Some p, [] -> Some p
-  | None, [ a ] -> Some a
-  | Some p, [ a ] ->
-      Some
-        (fun rt ->
-          p rt;
-          a rt)
-  | None, [ a; b ] ->
-      Some
-        (fun rt ->
-          a rt;
-          b rt)
-  | Some p, [ a; b ] ->
-      Some
-        (fun rt ->
-          p rt;
-          a rt;
-          b rt)
-  | None, [ a; b; c ] ->
-      Some
-        (fun rt ->
-          a rt;
-          b rt;
-          c rt)
-  | Some p, [ a; b; c ] ->
-      Some
-        (fun rt ->
-          p rt;
-          a rt;
-          b rt;
-          c rt)
-  | pack, acts ->
-      let arr =
-        Array.of_list (match pack with Some p -> p :: acts | None -> acts)
-      in
-      let n = Array.length arr in
-      Some (fun rt -> run_acts arr n 0 rt)
-
-(* Loop skeletons, hoisted for the same no-capture reason. *)
+(* Loop skeletons, hoisted: a local [let rec] would capture its
+   environment and allocate per packet. *)
 type loop_cfg = {
-  cpack : srt -> unit;  (** per-test charges: condition + branch *)
+  ccharge : srt -> unit;  (** per-test charges: condition + branch *)
   lcond : srt -> bool;
   lbody : srt -> int;
   lbound : int;
@@ -211,7 +174,7 @@ type loop_cfg = {
 }
 
 let rec loop_iter cfg k rt =
-  cfg.cpack rt;
+  cfg.ccharge rt;
   let c = cfg.lcond rt in
   if k >= cfg.lbound then begin
     if c then Concrete.stuck "loop exceeded its static bound %d" cfg.lbound;
@@ -232,7 +195,7 @@ let rec loop_iter cfg k rt =
   end
 
 (* A compiled expression: value known at bind time (charges already
-   hoisted into the enclosing segment), a bare slot read, or a closure
+   hoisted into the enclosing pack), a bare slot read, or a closure
    producing the value (and, on address-sensitive models, firing its
    memory charges at the access point). *)
 type sval = Kv of int | Sv of int | Dv of (srt -> int)
@@ -246,55 +209,84 @@ let forcev = function
    test. *)
 type sbool = Bk of bool | Bd of (srt -> bool)
 
+(* Packet accesses check their bounds inline and raise the
+   interpreter's [Stuck] message themselves — no handler per access. *)
+let oob rt off bytes =
+  raise (Concrete.Stuck (Net.Packet.bounds_message rt.packet off bytes))
+
+let peek = function
+  | Expr.W8 -> Net.Packet.peek_u8
+  | Expr.W16 -> Net.Packet.peek_u16
+  | Expr.W32 -> Net.Packet.peek_u32
+  | Expr.W48 -> Net.Packet.peek_u48
+
+let poke = function
+  | Expr.W8 -> Net.Packet.poke_u8
+  | Expr.W16 -> Net.Packet.poke_u16
+  | Expr.W32 -> Net.Packet.poke_u32
+  | Expr.W48 -> Net.Packet.poke_u48
+
 (* Constant-offset packet loads on the batched path, one closure per
-   width so the accessor call compiles direct; and their fusions into
-   an assignment, which save the intermediate value closure on the
-   commonest header-parsing shape [x := pkt[k]]. *)
+   width so the accessor call compiles direct; and their fusions into an
+   assignment plus its continuation, the commonest header-parsing shape
+   [x := pkt[k]; ...]. *)
 let dv_load_b w off =
   match w with
   | Expr.W8 ->
       Dv
         (fun rt ->
-          try Net.Packet.get_u8 rt.packet off
-          with Invalid_argument msg -> Concrete.stuck "%s" msg)
+          let v = Net.Packet.peek_u8 rt.packet off in
+          if v < 0 then oob rt off 1 else v)
   | Expr.W16 ->
       Dv
         (fun rt ->
-          try Net.Packet.get_u16 rt.packet off
-          with Invalid_argument msg -> Concrete.stuck "%s" msg)
+          let v = Net.Packet.peek_u16 rt.packet off in
+          if v < 0 then oob rt off 2 else v)
   | Expr.W32 ->
       Dv
         (fun rt ->
-          try Net.Packet.get_u32 rt.packet off
-          with Invalid_argument msg -> Concrete.stuck "%s" msg)
+          let v = Net.Packet.peek_u32 rt.packet off in
+          if v < 0 then oob rt off 4 else v)
   | Expr.W48 ->
       Dv
         (fun rt ->
-          try Net.Packet.get_u48 rt.packet off
-          with Invalid_argument msg -> Concrete.stuck "%s" msg)
+          let v = Net.Packet.peek_u48 rt.packet off in
+          if v < 0 then oob rt off 6 else v)
 
-let act_load_assign_b w off s : srt -> unit =
+let load_assign_b w off s (k : srt -> int) : srt -> int =
   match w with
   | Expr.W8 ->
       fun rt ->
-        Array.unsafe_set rt.slots s
-          (try Net.Packet.get_u8 rt.packet off
-           with Invalid_argument msg -> Concrete.stuck "%s" msg)
+        let v = Net.Packet.peek_u8 rt.packet off in
+        if v < 0 then oob rt off 1
+        else begin
+          Array.unsafe_set rt.slots s v;
+          k rt
+        end
   | Expr.W16 ->
       fun rt ->
-        Array.unsafe_set rt.slots s
-          (try Net.Packet.get_u16 rt.packet off
-           with Invalid_argument msg -> Concrete.stuck "%s" msg)
+        let v = Net.Packet.peek_u16 rt.packet off in
+        if v < 0 then oob rt off 2
+        else begin
+          Array.unsafe_set rt.slots s v;
+          k rt
+        end
   | Expr.W32 ->
       fun rt ->
-        Array.unsafe_set rt.slots s
-          (try Net.Packet.get_u32 rt.packet off
-           with Invalid_argument msg -> Concrete.stuck "%s" msg)
+        let v = Net.Packet.peek_u32 rt.packet off in
+        if v < 0 then oob rt off 4
+        else begin
+          Array.unsafe_set rt.slots s v;
+          k rt
+        end
   | Expr.W48 ->
       fun rt ->
-        Array.unsafe_set rt.slots s
-          (try Net.Packet.get_u48 rt.packet off
-           with Invalid_argument msg -> Concrete.stuck "%s" msg)
+        let v = Net.Packet.peek_u48 rt.packet off in
+        if v < 0 then oob rt off 6
+        else begin
+          Array.unsafe_set rt.slots s v;
+          k rt
+        end
 
 (* ---- shape-specialized operators -----------------------------------
 
@@ -547,159 +539,42 @@ and specialize_bool op (a : sval) (b : sval) : sbool =
       | Sv s -> Bd (fun rt -> Array.unsafe_get rt.slots s <> 0)
       | Dv f -> Bd (fun rt -> f rt <> 0))
 
-(* ---- trace fast path ------------------------------------------------
+(* Constant-offset packet stores on the batched path, fused with their
+   continuation; one closure per width, as for loads. *)
+let store_b w off (value : srt -> int) (k : srt -> int) : srt -> int =
+  match w with
+  | Expr.W8 ->
+      fun rt ->
+        if Net.Packet.poke_u8 rt.packet off (value rt) then k rt
+        else oob rt off 1
+  | Expr.W16 ->
+      fun rt ->
+        if Net.Packet.poke_u16 rt.packet off (value rt) then k rt
+        else oob rt off 2
+  | Expr.W32 ->
+      fun rt ->
+        if Net.Packet.poke_u32 rt.packet off (value rt) then k rt
+        else oob rt off 4
+  | Expr.W48 ->
+      fun rt ->
+        if Net.Packet.poke_u48 rt.packet off (value rt) then k rt
+        else oob rt off 6
 
-   For a call-free, loop-free program (a straight-line chain of header
-   assignments, guard tests and at most trailing stores — the firewall
-   and static-router shape), the whole hot path compiles to ONE trace:
-   an op sequence of slot assignments and boolean guards, a store
-   probe/commit, and a single precomputed charge pack covering RX
-   framing + every statement on the path + TX framing.  The trace is
-   attempted first each packet; any guard miss, bounds miss, or
-   exception bails out to the general specialized body, which recharges
-   from zero — nothing observable has happened yet, because everything
-   the probe phase touches (slots, out_port, store staging) is scratch,
-   and packet stores only commit after every fallible step has
-   passed.  Only built on batched (address-insensitive) models, where
-   the path's memory charges are a static count. *)
-
-(* Raised during trace compilation when the program leaves the traceable
-   shape (a call, a loop, a branch with two live arms…). *)
-exception Trace_bail
-
-type top = Tact of (srt -> unit) | Tguard of (srt -> bool) * bool
-
-type tstore = {
-  st_w : Expr.width;
-  st_bytes : int;
-  st_off : srt -> int;
-  st_val : srt -> int;
-  mutable st_o : int;  (** staged offset, valid after probe *)
-  mutable st_v : int;  (** staged value *)
+(* A call site's argument plan: slot reads copy straight into the
+   preallocated argv, any other operand runs its closure. *)
+type args = {
+  argv : int array;
+  src : int array;  (** operand's slot, or -1 *)
+  fns : (srt -> int) array;
 }
 
-(* Fold the op list into one closure chain at bind time: consecutive
-   actions merge pairwise and each guard specializes on its expected
-   polarity, so running the trace is a straight run of direct tail
-   calls with no per-op dispatch. *)
-let rec fuse_ops = function
-  | [] -> fun (_ : srt) -> true
-  | Tact a :: Tact b :: rest ->
-      fuse_ops
-        (Tact
-           (fun rt ->
-             a rt;
-             b rt)
-        :: rest)
-  | Tact a :: rest ->
-      let k = fuse_ops rest in
-      fun rt ->
-        a rt;
-        k rt
-  | Tguard (g, true) :: rest ->
-      let k = fuse_ops rest in
-      fun rt -> g rt && k rt
-  | Tguard (g, false) :: rest ->
-      let k = fuse_ops rest in
-      fun rt -> (not (g rt)) && k rt
-
-(* Evaluate and bounds-check every store before mutating the packet:
-   a failed probe must leave no trace of the attempt. *)
-let rec probe_stores (arr : tstore array) n i rt =
-  i = n
-  ||
-  let s = Array.unsafe_get arr i in
-  let o = s.st_off rt in
-  let v = s.st_val rt in
-  s.st_o <- o;
-  s.st_v <- v;
-  o >= 0
-  && o + s.st_bytes <= Net.Packet.length rt.packet
-  && probe_stores arr n (i + 1) rt
-
-let commit_store s rt =
-  match s.st_w with
-  | Expr.W8 -> Net.Packet.set_u8 rt.packet s.st_o s.st_v
-  | Expr.W16 -> Net.Packet.set_u16 rt.packet s.st_o s.st_v
-  | Expr.W32 -> Net.Packet.set_u32 rt.packet s.st_o s.st_v
-  | Expr.W48 -> Net.Packet.set_u48 rt.packet s.st_o s.st_v
-
-let rec commit_stores arr n i rt =
-  if i < n then begin
-    commit_store (Array.unsafe_get arr i) rt;
-    commit_stores arr n (i + 1) rt
-  end
-
-(* Staged stores commit after the whole path is validated, so a read of
-   packet bytes a pending store will write would observe stale data.
-   [load_ranges] collects the constant byte ranges [e] reads ([None] if
-   any read offset is dynamic); the trace compiler bails unless every
-   read provably misses every staged store.  (Pkt_len is not a read —
-   stores never change the length.) *)
-let rec load_ranges = function
-  | Expr.Pkt_load (w, Expr.Const off) -> Some [ (off, Expr.bytes_of_width w) ]
-  | Expr.Pkt_load _ -> None
-  | Expr.Unop (_, a) -> load_ranges a
-  | Expr.Binop (_, a, b) -> (
-      match (load_ranges a, load_ranges b) with
-      | Some la, Some lb -> Some (la @ lb)
-      | _ -> None)
-  | Expr.Const _ | Expr.Var _ | Expr.Pkt_len -> Some []
-
-let ranges_overlap (o1, n1) (o2, n2) = o1 < o2 + n2 && o2 < o1 + n1
-
-let rec expr_vars acc = function
-  | Expr.Var v -> v :: acc
-  | Expr.Unop (_, a) -> expr_vars acc a
-  | Expr.Binop (_, a, b) -> expr_vars (expr_vars acc a) b
-  | Expr.Pkt_load (_, o) -> expr_vars acc o
-  | Expr.Const _ | Expr.Pkt_len -> acc
-
-(* The RX/TX framing of [Concrete.charge_rx]/[charge_tx] in deferred
-   form.  The [_b] variants batch the framing accesses too. *)
-let rx_frame rt =
-  bump rt i_alu 22;
-  bump rt i_move 8;
-  bump rt i_load 4;
-  for i = 0 to 3 do
-    rt.mmem ~addr:(Concrete.rx_ring_base + (i * 8)) ~write:false
-      ~dependent:false
-  done;
-  bump rt i_branch 2
-
-let rx_frame_b rt =
-  bump rt i_alu 22;
-  bump rt i_move 8;
-  bump rt i_load 4;
-  bump rt i_mem 4;
-  bump rt i_branch 2
-
-let tx_drop_frame rt =
-  bump rt i_alu 4;
-  bump rt i_store 1;
-  rt.mmem ~addr:Concrete.rx_ring_base ~write:true ~dependent:false
-
-let tx_drop_frame_b rt =
-  bump rt i_alu 4;
-  bump rt i_store 1;
-  bump rt i_mem 1
-
-let tx_sent_frame rt =
-  bump rt i_alu 14;
-  bump rt i_move 4;
-  bump rt i_store 3;
-  for i = 0 to 2 do
-    rt.mmem ~addr:(Concrete.rx_ring_base + 64 + (i * 8)) ~write:true
-      ~dependent:false
-  done;
-  bump rt i_branch 1
-
-let tx_sent_frame_b rt =
-  bump rt i_alu 14;
-  bump rt i_move 4;
-  bump rt i_store 3;
-  bump rt i_mem 3;
-  bump rt i_branch 1
+let marshal a rt =
+  for i = 0 to Array.length a.src - 1 do
+    let s = Array.unsafe_get a.src i in
+    Array.unsafe_set a.argv i
+      (if s >= 0 then Array.unsafe_get rt.slots s
+       else (Array.unsafe_get a.fns i) rt)
+  done
 
 type t = {
   specialized : bool;
@@ -719,12 +594,22 @@ let outcome_of_code t code =
   else if code = code_flooded then Concrete.Flooded
   else invalid_arg "Specialize.outcome_of_code: not an outcome code"
 
-(* Comments compile to nothing; an all-comment block is empty, so an
-   [If] over it needs no control step at all. *)
+(* Comments compile to nothing; an all-comment block is empty. *)
 let rec block_empty = function
   | [] -> true
   | Stmt.Comment _ :: rest -> block_empty rest
   | _ -> false
+
+(* Does every path through [block] end in a [Return]?  Conservative: a
+   loop, or a branch with an arm that falls through, counts as falling
+   through even when its condition is constant. *)
+let rec terminates block =
+  List.exists
+    (function
+      | Stmt.Return _ -> true
+      | Stmt.If (_, a, b) -> terminates a && terminates b
+      | _ -> false)
+    block
 
 (* Compile [program] against the frozen (dss, meter) binding.  Raises
    [Not_specializable] when a call site has no fast path. *)
@@ -750,6 +635,9 @@ let build program (dss : Ds.env) meter =
       Program.input_vars
       (Eval.assigned_vars program.Program.body)
   in
+  (* where calls without a return variable write their result *)
+  let discard = !next_slot in
+  incr next_slot;
   let counts = Array.make n_counts 0 in
   let sink =
     {
@@ -770,55 +658,44 @@ let build program (dss : Ds.env) meter =
         | Some f -> f
         | None -> raise Not_specializable)
   in
-  let rec sexpr cur (e : Expr.t) : sval =
+  (* Expressions charge their static cost into [pack], the running
+     path's static charges. *)
+  let rec sexpr pack (e : Expr.t) : sval =
     match e with
     | Expr.Const n -> Kv n
     | Expr.Var v ->
         if List.mem v bound then Sv (slot_of v)
         else Dv (fun _ -> Concrete.stuck "unbound variable %s" v)
     | Expr.Pkt_len ->
-        cur.(i_move) <- cur.(i_move) + 1;
+        add pack i_move 1;
         Dv (fun rt -> Net.Packet.length rt.packet)
     | Expr.Pkt_load (w, off_e) -> (
-        let load =
-          match w with
-          | Expr.W8 -> Net.Packet.get_u8
-          | Expr.W16 -> Net.Packet.get_u16
-          | Expr.W32 -> Net.Packet.get_u32
-          | Expr.W48 -> Net.Packet.get_u48
-        in
-        cur.(i_load) <- cur.(i_load) + 1;
-        if batch then cur.(i_mem) <- cur.(i_mem) + 1;
-        match sexpr cur off_e with
+        add pack i_load 1;
+        if batch then add pack i_mem 1;
+        let bytes = Expr.bytes_of_width w and peek = peek w in
+        match sexpr pack off_e with
         | Kv off when off >= 0 && batch -> dv_load_b w off
         | Kv off when off >= 0 ->
             let addr = Concrete.packet_base + off in
             Dv
               (fun rt ->
                 rt.mmem ~addr ~write:false ~dependent:false;
-                try load rt.packet off
-                with Invalid_argument msg -> Concrete.stuck "%s" msg)
-        | voff when batch ->
-            let off = forcev voff in
-            Dv
-              (fun rt ->
-                let off = off rt in
-                if off < 0 then Concrete.stuck "negative packet offset";
-                try load rt.packet off
-                with Invalid_argument msg -> Concrete.stuck "%s" msg)
+                let v = peek rt.packet off in
+                if v < 0 then oob rt off bytes else v)
         | voff ->
             let off = forcev voff in
             Dv
               (fun rt ->
                 let off = off rt in
                 if off < 0 then Concrete.stuck "negative packet offset";
-                rt.mmem ~addr:(Concrete.packet_base + off) ~write:false
-                  ~dependent:false;
-                try load rt.packet off
-                with Invalid_argument msg -> Concrete.stuck "%s" msg))
+                if not batch then
+                  rt.mmem ~addr:(Concrete.packet_base + off) ~write:false
+                    ~dependent:false;
+                let v = peek rt.packet off in
+                if v < 0 then oob rt off bytes else v))
     | Expr.Unop (op, a) -> (
-        cur.(i_alu) <- cur.(i_alu) + 1;
-        match (op, sexpr cur a) with
+        add pack i_alu 1;
+        match (op, sexpr pack a) with
         | _, Kv v -> Kv (Semantics.apply_unop op v)
         | Expr.Lnot, Sv s ->
             Dv (fun rt -> if Array.unsafe_get rt.slots s = 0 then 1 else 0)
@@ -829,541 +706,281 @@ let build program (dss : Ds.env) meter =
             let f = forcev v in
             Dv (fun rt -> lnot (f rt) land 0xffff_ffff))
     | Expr.Binop (op, a, b) ->
-        let ki = Hw.Cost.kind_index (Concrete.kind_of_binop op) in
-        cur.(ki) <- cur.(ki) + 1;
-        let va = sexpr cur a in
-        let vb = sexpr cur b in
+        add pack (Hw.Cost.kind_index (Concrete.kind_of_binop op)) 1;
+        let va = sexpr pack a in
+        let vb = sexpr pack b in
         specialize_binop op va vb
   in
-  (* Conditions compile through [specialize_bool] so comparisons test
-     directly instead of materializing 0/1. *)
-  let scond cur (e : Expr.t) : sbool =
+  (* Conditions compile to direct boolean tests: comparisons never
+     materialize 0/1, and a connective over comparisons tests both
+     sides (both always evaluated, as in the interpreter). *)
+  let rec scond pack (e : Expr.t) : sbool =
     match e with
+    | Expr.Binop (((Expr.Land | Expr.Lor) as op), a, b) -> (
+        add pack (Hw.Cost.kind_index (Concrete.kind_of_binop op)) 1;
+        let ca = scond pack a in
+        let cb = scond pack b in
+        let land_ = op = Expr.Land in
+        match (ca, cb) with
+        | Bk x, Bk y -> Bk (if land_ then x && y else x || y)
+        | _ ->
+            let force = function Bk b -> fun (_ : srt) -> b | Bd f -> f in
+            let fa = force ca and fb = force cb in
+            if land_ then
+              Bd
+                (fun rt ->
+                  let x = fa rt in
+                  let y = fb rt in
+                  x && y)
+            else
+              Bd
+                (fun rt ->
+                  let x = fa rt in
+                  let y = fb rt in
+                  x || y))
     | Expr.Binop (op, a, b) ->
-        let ki = Hw.Cost.kind_index (Concrete.kind_of_binop op) in
-        cur.(ki) <- cur.(ki) + 1;
-        let va = sexpr cur a in
-        let vb = sexpr cur b in
+        add pack (Hw.Cost.kind_index (Concrete.kind_of_binop op)) 1;
+        let va = sexpr pack a in
+        let vb = sexpr pack b in
         specialize_bool op va vb
     | _ -> (
-        match sexpr cur e with
+        match sexpr pack e with
         | Kv n -> Bk (n <> 0)
         | Sv s -> Bd (fun rt -> Array.unsafe_get rt.slots s <> 0)
         | Dv f -> Bd (fun rt -> f rt <> 0))
   in
-  (* A block compiles to [srt -> int]: an outcome code, or [k_next] for
-     fall-through.  Statements accumulate into straight-line segments —
-     one sealed charge pack plus the dynamic actions in program order —
-     broken by control (If/While/Return). *)
-  let rec sblock (block : Stmt.block) : srt -> int =
-    let cur = Array.make n_counts 0 in
-    let pending = ref [] in
-    let steps = ref [] in
-    (* Each control step absorbs the straight-line segment before it:
-       one closure runs the pack, the actions, and the transfer. *)
-    let take_seg () =
-      let pack = seal cur in
-      let acts = List.rev !pending in
-      pending := [];
-      seg_unit pack acts
-    in
-    let push_seg () =
-      match take_seg () with
-      | None -> ()
-      | Some u ->
-          steps :=
-            (fun rt ->
-              u rt;
-              k_next)
-            :: !steps
-    in
-    let push_ctl f =
-      match take_seg () with
-      | None -> steps := f :: !steps
-      | Some u ->
-          steps :=
-            (fun rt ->
-              u rt;
-              f rt)
-            :: !steps
-    in
-    let loop_ctl ~bound ~observe cond_e body =
-      (* shared Unroll/Pcv_loop skeleton: a per-test pack (condition
-         charges + the branch), the body, the static bound check *)
-      let ccur = Array.make n_counts 0 in
-      let cond = scond ccur cond_e in
-      ccur.(i_branch) <- ccur.(i_branch) + 1;
-      let cpack =
-        match seal ccur with Some f -> f | None -> fun (_ : srt) -> ()
-      in
-      let lcond = match cond with Bk b -> fun (_ : srt) -> b | Bd f -> f in
-      let cfg =
-        { cpack; lcond; lbody = sblock body; lbound = bound; lobs = observe }
-      in
-      fun rt -> loop_iter cfg 0 rt
-    in
-    List.iter
-      (fun (stmt : Stmt.t) ->
-        match stmt with
-        | Stmt.Comment _ -> ()
-        | Stmt.Assign (v, Expr.Pkt_load (w, Expr.Const off))
-          when off >= 0 && batch ->
-            (* header parsing [x := pkt[k]]: load straight into the slot *)
-            cur.(i_load) <- cur.(i_load) + 1;
-            cur.(i_mem) <- cur.(i_mem) + 1;
-            cur.(i_move) <- cur.(i_move) + 1;
-            pending := act_load_assign_b w off (slot_of v) :: !pending
-        | Stmt.Assign (v, e) -> (
-            let value = sexpr cur e in
-            cur.(i_move) <- cur.(i_move) + 1;
-            let s = slot_of v in
-            match value with
-            | Kv n ->
-                pending :=
-                  (fun rt -> Array.unsafe_set rt.slots s n) :: !pending
-            | Sv s' ->
-                pending :=
-                  (fun rt ->
-                    Array.unsafe_set rt.slots s (Array.unsafe_get rt.slots s'))
-                  :: !pending
-            | Dv f ->
-                pending :=
-                  (fun rt -> Array.unsafe_set rt.slots s (f rt)) :: !pending)
-        | Stmt.Pkt_store (w, off_e, val_e) ->
-            let store =
-              match w with
-              | Expr.W8 -> Net.Packet.set_u8
-              | Expr.W16 -> Net.Packet.set_u16
-              | Expr.W32 -> Net.Packet.set_u32
-              | Expr.W48 -> Net.Packet.set_u48
-            in
-            let off = forcev (sexpr cur off_e) in
-            let value = forcev (sexpr cur val_e) in
-            cur.(i_store) <- cur.(i_store) + 1;
-            if batch then begin
-              cur.(i_mem) <- cur.(i_mem) + 1;
-              pending :=
-                (fun rt ->
-                  let off = off rt in
-                  let value = value rt in
-                  if off < 0 then Concrete.stuck "negative packet offset";
-                  try store rt.packet off value
-                  with Invalid_argument msg -> Concrete.stuck "%s" msg)
-                :: !pending
-            end
-            else
-              pending :=
-                (fun rt ->
-                  let off = off rt in
-                  let value = value rt in
-                  if off < 0 then Concrete.stuck "negative packet offset";
-                  rt.mmem ~addr:(Concrete.packet_base + off) ~write:true
-                    ~dependent:false;
-                  try store rt.packet off value
-                  with Invalid_argument msg -> Concrete.stuck "%s" msg)
-                :: !pending
-        | Stmt.Call { ret; instance; meth; args } ->
-            let cargs = List.map (fun a -> forcev (sexpr cur a)) args in
-            cur.(i_call) <- cur.(i_call) + 1;
-            cur.(i_ret) <- cur.(i_ret) + 1;
-            let argv = Array.make (max (List.length cargs) 1) 0 in
-            let fn = resolve instance meth in
-            (* marshal + dispatch + return-slot write as one closure,
-               unrolled for the common arities *)
-            let ret_slot =
-              match ret with
-              | None -> -1
-              | Some r ->
-                  cur.(i_move) <- cur.(i_move) + 1;
-                  slot_of r
-            in
-            let act : srt -> unit =
-              match (cargs, ret) with
-              | [], None ->
-                  fun (_ : srt) ->
-                    Obs.Metrics.incr Concrete.c_calls;
-                    ignore (fn argv)
-              | [], Some _ ->
-                  fun rt ->
-                    Obs.Metrics.incr Concrete.c_calls;
-                    Array.unsafe_set rt.slots ret_slot (fn argv)
-              | [ a0 ], None ->
-                  fun rt ->
-                    Array.unsafe_set argv 0 (a0 rt);
-                    Obs.Metrics.incr Concrete.c_calls;
-                    ignore (fn argv)
-              | [ a0 ], Some _ ->
-                  fun rt ->
-                    Array.unsafe_set argv 0 (a0 rt);
-                    Obs.Metrics.incr Concrete.c_calls;
-                    Array.unsafe_set rt.slots ret_slot (fn argv)
-              | [ a0; a1 ], None ->
-                  fun rt ->
-                    Array.unsafe_set argv 0 (a0 rt);
-                    Array.unsafe_set argv 1 (a1 rt);
-                    Obs.Metrics.incr Concrete.c_calls;
-                    ignore (fn argv)
-              | [ a0; a1 ], Some _ ->
-                  fun rt ->
-                    Array.unsafe_set argv 0 (a0 rt);
-                    Array.unsafe_set argv 1 (a1 rt);
-                    Obs.Metrics.incr Concrete.c_calls;
-                    Array.unsafe_set rt.slots ret_slot (fn argv)
-              | [ a0; a1; a2 ], None ->
-                  fun rt ->
-                    Array.unsafe_set argv 0 (a0 rt);
-                    Array.unsafe_set argv 1 (a1 rt);
-                    Array.unsafe_set argv 2 (a2 rt);
-                    Obs.Metrics.incr Concrete.c_calls;
-                    ignore (fn argv)
-              | [ a0; a1; a2 ], Some _ ->
-                  fun rt ->
-                    Array.unsafe_set argv 0 (a0 rt);
-                    Array.unsafe_set argv 1 (a1 rt);
-                    Array.unsafe_set argv 2 (a2 rt);
-                    Obs.Metrics.incr Concrete.c_calls;
-                    Array.unsafe_set rt.slots ret_slot (fn argv)
-              | cargs, ret ->
-                  let cargs = Array.of_list cargs in
-                  let nargs = Array.length cargs in
-                  let marshal rt =
-                    for i = 0 to nargs - 1 do
-                      Array.unsafe_set argv i ((Array.unsafe_get cargs i) rt)
-                    done;
-                    Obs.Metrics.incr Concrete.c_calls
-                  in
-                  if ret = None then fun rt ->
-                    marshal rt;
-                    ignore (fn argv)
-                  else fun rt ->
-                    marshal rt;
-                    Array.unsafe_set rt.slots ret_slot (fn argv)
-            in
-            pending := act :: !pending
-        | Stmt.If (cond_e, then_, else_) -> (
-            let cond = scond cur cond_e in
-            cur.(i_branch) <- cur.(i_branch) + 1;
-            match cond with
-            | Bk true ->
-                (* arm decided at bind time; the dead arm never compiles *)
-                if not (block_empty then_) then push_ctl (sblock then_)
-            | Bk false ->
-                if not (block_empty else_) then push_ctl (sblock else_)
-            | Bd c -> (
-                match (block_empty then_, block_empty else_) with
-                | true, true ->
-                    (* still evaluate: the condition may charge memory
-                       accesses (unbatched) or get stuck *)
-                    pending := (fun rt -> ignore (c rt)) :: !pending
-                | false, true ->
-                    let cthen = sblock then_ in
-                    push_ctl (fun rt -> if c rt then cthen rt else k_next)
-                | true, false ->
-                    let celse = sblock else_ in
-                    push_ctl (fun rt -> if c rt then k_next else celse rt)
-                | false, false ->
-                    let cthen = sblock then_ and celse = sblock else_ in
-                    push_ctl (fun rt -> if c rt then cthen rt else celse rt)))
-        | Stmt.While (Stmt.Unroll bound, cond_e, body) ->
-            push_ctl (loop_ctl ~bound ~observe:None cond_e body)
-        | Stmt.While (Stmt.Pcv_loop (name, bound), cond_e, body) ->
-            push_ctl
-              (loop_ctl ~bound ~observe:(Some (Perf.Pcv.v name)) cond_e body)
-        | Stmt.Return action -> (
-            match action with
-            | Stmt.Forward port_e -> (
-                let port = sexpr cur port_e in
-                cur.(i_ret) <- cur.(i_ret) + 1;
-                match port with
-                | Kv p ->
-                    push_ctl (fun rt ->
-                        rt.out_port <- p;
-                        code_sent)
-                | Sv s ->
-                    push_ctl (fun rt ->
-                        rt.out_port <- Array.unsafe_get rt.slots s;
-                        code_sent)
-                | Dv f ->
-                    push_ctl (fun rt ->
-                        rt.out_port <- f rt;
-                        code_sent))
-            | Stmt.Drop ->
-                cur.(i_ret) <- cur.(i_ret) + 1;
-                push_ctl (fun _ -> code_dropped)
-            | Stmt.Flood ->
-                cur.(i_ret) <- cur.(i_ret) + 1;
-                push_ctl (fun _ -> code_flooded)))
-      block;
-    push_seg ();
-    match List.rev !steps with
-    | [] -> fun (_ : srt) -> k_next
-    | [ f ] -> f
-    | steps ->
-        let arr = Array.of_list steps in
-        let n = Array.length arr in
-        fun rt -> run_steps arr n 0 rt
+  let store_link pack w off_e val_e : (srt -> int) -> srt -> int =
+    let off = sexpr pack off_e in
+    let value = forcev (sexpr pack val_e) in
+    add pack i_store 1;
+    if batch then add pack i_mem 1;
+    match off with
+    | Kv off when off >= 0 && batch -> store_b w off value
+    | _ ->
+        let off = forcev off and bytes = Expr.bytes_of_width w in
+        let poke = poke w in
+        fun k rt ->
+          let off = off rt in
+          let v = value rt in
+          if off < 0 then Concrete.stuck "negative packet offset";
+          if not batch then
+            rt.mmem ~addr:(Concrete.packet_base + off) ~write:true
+              ~dependent:false;
+          if poke rt.packet off v then k rt else oob rt off bytes
   in
-  let body = sblock program.Program.body in
-  (* Attempt the whole-program trace (see the trace fast path section):
-     follow the single expected path through the top-level body,
-     compiling it to guard/action ops, staged stores, one outcome code
-     and ONE charge pack covering RX framing + path + TX framing.
-     Branches whose untaken arm is non-empty become guards; anything
-     else off-shape (calls, loops, two live arms, a packet read after a
-     staged store) bails the compilation and the NF just keeps the
-     general specialized body. *)
-  let trace =
-    if not batch then None
-    else begin
-      let tcur = Array.make n_counts 0 in
-      tcur.(i_alu) <- 22;
-      tcur.(i_move) <- 8;
-      tcur.(i_load) <- 4;
-      tcur.(i_mem) <- 4;
-      tcur.(i_branch) <- 2;
-      let ops = ref [] in
-      let stores = ref [] in
-      let staged = ref [] in
-      (* constant byte ranges of staged stores *)
-      let dyn_store = ref false in
-      (* the all-constant-offset, infallible-value store plan: one
-         length check covers every store, commits run direct *)
-      let fast_ok = ref true in
-      let fast_commits = ref [] in
-      let need_len = ref 0 in
-      (* variables read by staged store offsets/values — immutable for
-         the rest of the path (see the Assign bail) *)
-      let store_vars = ref [] in
-      (* can evaluating [e] raise (bounds, unbound var, div by zero)? *)
-      let rec infallible (e : Expr.t) =
-        match e with
-        | Expr.Const _ | Expr.Pkt_len -> true
-        | Expr.Var v -> List.mem v bound
-        | Expr.Pkt_load _ -> false
-        | Expr.Unop (_, a) -> infallible a
-        | Expr.Binop ((Expr.Div | Expr.Rem), _, _) -> false
-        | Expr.Binop (_, a, b) -> infallible a && infallible b
-      in
-      (* [e] must not read bytes any staged store will write *)
-      let guard_load e =
-        if !dyn_store || !staged <> [] then
-          match load_ranges e with
-          | Some [] -> ()
-          | None -> raise Trace_bail
-          | Some reads ->
-              if
-                !dyn_store
-                || List.exists
-                     (fun r -> List.exists (ranges_overlap r) !staged)
-                     reads
-              then raise Trace_bail
-      in
-      let push_op o = ops := o :: !ops in
-      let rec walk (block : Stmt.block) : (srt -> unit) * int =
-        match block with
-        | [] -> raise Trace_bail (* fall-through: no outcome on this path *)
-        | Stmt.Comment _ :: rest -> walk rest
-        | Stmt.Assign (v, e) :: rest ->
-            guard_load e;
-            (* staged store expressions evaluate only when the path
-               commits, so the variables they read must stay frozen
-               from the store's program point on *)
-            if List.mem v !store_vars then raise Trace_bail;
-            (match e with
-            | Expr.Pkt_load (w, Expr.Const off) when off >= 0 ->
-                tcur.(i_load) <- tcur.(i_load) + 1;
-                tcur.(i_mem) <- tcur.(i_mem) + 1;
-                tcur.(i_move) <- tcur.(i_move) + 1;
-                push_op (Tact (act_load_assign_b w off (slot_of v)))
-            | _ -> (
-                let value = sexpr tcur e in
-                tcur.(i_move) <- tcur.(i_move) + 1;
-                let s = slot_of v in
-                match value with
-                | Kv n ->
-                    push_op (Tact (fun rt -> Array.unsafe_set rt.slots s n))
-                | Sv s' ->
-                    push_op
-                      (Tact
-                         (fun rt ->
-                           Array.unsafe_set rt.slots s
-                             (Array.unsafe_get rt.slots s')))
-                | Dv f ->
-                    push_op
-                      (Tact (fun rt -> Array.unsafe_set rt.slots s (f rt)))));
-            walk rest
-        | Stmt.Pkt_store (w, off_e, val_e) :: rest ->
-            guard_load off_e;
-            guard_load val_e;
-            let off = forcev (sexpr tcur off_e) in
-            let value = forcev (sexpr tcur val_e) in
-            tcur.(i_store) <- tcur.(i_store) + 1;
-            tcur.(i_mem) <- tcur.(i_mem) + 1;
-            stores :=
-              {
-                st_w = w;
-                st_bytes = Expr.bytes_of_width w;
-                st_off = off;
-                st_val = value;
-                st_o = 0;
-                st_v = 0;
-              }
-              :: !stores;
-            store_vars := expr_vars (expr_vars !store_vars off_e) val_e;
-            (match off_e with
-            | Expr.Const o when o >= 0 && infallible val_e ->
-                staged := (o, Expr.bytes_of_width w) :: !staged;
-                need_len := max !need_len (o + Expr.bytes_of_width w);
-                fast_commits :=
-                  (match w with
-                  | Expr.W8 ->
-                      fun rt -> Net.Packet.set_u8 rt.packet o (value rt)
-                  | Expr.W16 ->
-                      fun rt -> Net.Packet.set_u16 rt.packet o (value rt)
-                  | Expr.W32 ->
-                      fun rt -> Net.Packet.set_u32 rt.packet o (value rt)
-                  | Expr.W48 ->
-                      fun rt -> Net.Packet.set_u48 rt.packet o (value rt))
-                  :: !fast_commits
-            | Expr.Const o when o >= 0 ->
-                staged := (o, Expr.bytes_of_width w) :: !staged;
-                fast_ok := false
-            | _ ->
-                dyn_store := true;
-                fast_ok := false);
-            walk rest
-        | Stmt.If (cond_e, then_, else_) :: rest -> (
-            guard_load cond_e;
-            let cond = scond tcur cond_e in
-            tcur.(i_branch) <- tcur.(i_branch) + 1;
-            match cond with
-            | Bk true -> walk (then_ @ rest)
-            | Bk false -> walk (else_ @ rest)
-            | Bd c -> (
-                match (block_empty then_, block_empty else_) with
-                | true, true ->
-                    (* either way falls through; still evaluate (the
-                       condition may get stuck) *)
-                    push_op (Tact (fun rt -> ignore (c rt)));
-                    walk rest
-                | false, true ->
-                    (* expected path: the empty else arm *)
-                    push_op (Tguard (c, false));
-                    walk rest
-                | true, false ->
-                    push_op (Tguard (c, true));
-                    walk rest
-                | false, false -> raise Trace_bail))
-        | Stmt.Return action :: _ -> (
-            tcur.(i_ret) <- tcur.(i_ret) + 1;
-            match action with
-            | Stmt.Forward port_e -> (
-                guard_load port_e;
-                let port = sexpr tcur port_e in
-                tcur.(i_alu) <- tcur.(i_alu) + 14;
-                tcur.(i_move) <- tcur.(i_move) + 4;
-                tcur.(i_store) <- tcur.(i_store) + 3;
-                tcur.(i_mem) <- tcur.(i_mem) + 3;
-                tcur.(i_branch) <- tcur.(i_branch) + 1;
-                match port with
-                | Kv p -> ((fun rt -> rt.out_port <- p), code_sent)
-                | Sv s ->
-                    ( (fun rt -> rt.out_port <- Array.unsafe_get rt.slots s),
-                      code_sent )
-                | Dv f -> ((fun rt -> rt.out_port <- f rt), code_sent))
-            | Stmt.Drop ->
-                tcur.(i_alu) <- tcur.(i_alu) + 4;
-                tcur.(i_store) <- tcur.(i_store) + 1;
-                tcur.(i_mem) <- tcur.(i_mem) + 1;
-                ((fun (_ : srt) -> ()), code_dropped)
-            | Stmt.Flood ->
-                tcur.(i_alu) <- tcur.(i_alu) + 14;
-                tcur.(i_move) <- tcur.(i_move) + 4;
-                tcur.(i_store) <- tcur.(i_store) + 3;
-                tcur.(i_mem) <- tcur.(i_mem) + 3;
-                tcur.(i_branch) <- tcur.(i_branch) + 1;
-                ((fun (_ : srt) -> ()), code_flooded))
-        | (Stmt.While _ | Stmt.Call _) :: _ -> raise Trace_bail
-      in
-      match walk program.Program.body with
-      | port_eval, tcode ->
-          let chain = fuse_ops (List.rev !ops) in
-          (* the path's whole charge, applied directly to the model —
-             no per-packet bump/flush round-trip through [counts] *)
-          let tcharge =
-            let fs = ref [] in
-            for i = n_counts - 1 downto 0 do
-              let n = tcur.(i) in
-              if n > 0 then
-                fs :=
-                  (if i = i_mem then fun rt -> rt.mbulk n
-                   else
-                     let k = Array.unsafe_get Hw.Cost.kind_of_index i in
-                     fun rt -> rt.minstr k n)
-                  :: !fs
-            done;
-            match !fs with
-            | [] -> fun (_ : srt) -> ()
-            | [ f ] -> f
-            | fs ->
-                let arr = Array.of_list fs in
-                let n = Array.length arr in
-                fun rt -> run_acts arr n 0 rt
-          in
-          let attempt =
-            if !fast_ok then begin
-              let commit =
-                match List.rev !fast_commits with
-                | [] -> None
-                | [ f ] -> Some f
-                | [ f; g ] ->
-                    Some
-                      (fun rt ->
-                        f rt;
-                        g rt)
-                | fs ->
-                    let arr = Array.of_list fs in
-                    let n = Array.length arr in
-                    Some (fun rt -> run_acts arr n 0 rt)
-              in
-              match commit with
-              | None ->
-                  fun rt ->
-                    chain rt
-                    && begin
-                         port_eval rt;
-                         tcharge rt;
-                         true
-                       end
-              | Some commit ->
-                  let need = !need_len in
-                  fun rt ->
-                    chain rt
-                    && Net.Packet.length rt.packet >= need
-                    && begin
-                         port_eval rt;
-                         commit rt;
-                         tcharge rt;
-                         true
-                       end
-            end
-            else begin
-              let sarr = Array.of_list (List.rev !stores) in
-              let ns = Array.length sarr in
+  let call_link pack { Stmt.ret; instance; meth; args } :
+      (srt -> int) -> srt -> int =
+    let vals = List.map (sexpr pack) args in
+    add pack i_call 1;
+    add pack i_ret 1;
+    let plan =
+      {
+        argv = Array.make (max (List.length vals) 1) 0;
+        src = Array.of_list (List.map (function Sv s -> s | _ -> -1) vals);
+        fns = Array.of_list (List.map forcev vals);
+      }
+    in
+    let fn = resolve instance meth in
+    let r =
+      match ret with
+      | None -> discard
+      | Some v ->
+          add pack i_move 1;
+          slot_of v
+    in
+    fun k rt ->
+      marshal plan rt;
+      Obs.Metrics.incr Concrete.c_calls;
+      Array.unsafe_set rt.slots r (fn plan.argv);
+      k rt
+  in
+  (* A block compiles to one closure chain returning an outcome code,
+     or [k_next] when a rejoining arm or loop body ([join = Some base])
+     runs off its end.  [pack] is the static charge every packet
+     reaching this point has incurred and nobody has applied yet; it is
+     owned by this chain, so branches hand each arm a copy.  [dirty]:
+     a call on the path may have left charges in the deferred
+     counters, so exits must retire them too. *)
+  let rec chain pack ~dirty ~join (block : Stmt.block) : srt -> int =
+    match block with
+    | [] -> (
+        match join with
+        | None -> fun (_ : srt) -> k_next
+        | Some base ->
+            (* the arm's own charges land here; the shared prefix
+               [base] is left to the continuation's exits *)
+            let own = Array.mapi (fun i n -> n - base.(i)) pack in
+            if Array.for_all (( = ) 0) own then fun (_ : srt) -> k_next
+            else
+              let c = direct own in
               fun rt ->
-                chain rt
-                && probe_stores sarr ns 0 rt
-                && begin
-                     port_eval rt;
-                     commit_stores sarr ns 0 rt;
-                     tcharge rt;
-                     true
-                   end
-            end
-          in
-          Some (attempt, tcode)
-      | exception Trace_bail -> None
-    end
+                c rt;
+                k_next)
+    | Stmt.Comment _ :: rest -> chain pack ~dirty ~join rest
+    | Stmt.Assign (v, Expr.Pkt_load (w, Expr.Const off)) :: rest
+      when off >= 0 && batch ->
+        add pack i_load 1;
+        add pack i_mem 1;
+        add pack i_move 1;
+        load_assign_b w off (slot_of v) (chain pack ~dirty ~join rest)
+    | Stmt.Assign (v, e) :: rest -> (
+        let value = sexpr pack e in
+        add pack i_move 1;
+        let s = slot_of v in
+        let k = chain pack ~dirty ~join rest in
+        match value with
+        | Kv n ->
+            fun rt ->
+              Array.unsafe_set rt.slots s n;
+              k rt
+        | Sv s' ->
+            fun rt ->
+              Array.unsafe_set rt.slots s (Array.unsafe_get rt.slots s');
+              k rt
+        | Dv f ->
+            fun rt ->
+              Array.unsafe_set rt.slots s (f rt);
+              k rt)
+    | Stmt.Pkt_store (w, off_e, val_e) :: rest ->
+        let link = store_link pack w off_e val_e in
+        link (chain pack ~dirty ~join rest)
+    | Stmt.Call c :: rest ->
+        let link = call_link pack c in
+        link (chain pack ~dirty:true ~join rest)
+    | Stmt.If (cond_e, a, b) :: rest -> (
+        let cond = scond pack cond_e in
+        add pack i_branch 1;
+        match cond with
+        | Bk true -> chain pack ~dirty ~join (a @ rest)
+        | Bk false -> chain pack ~dirty ~join (b @ rest)
+        | Bd c -> (
+            let exit_arm blk = chain (Array.copy pack) ~dirty ~join blk in
+            match (terminates a, terminates b) with
+            | true, true ->
+                let ca = exit_arm a and cb = exit_arm b in
+                fun rt -> if c rt then ca rt else cb rt
+            | true, false ->
+                (* guard exit: the other arm and the rest of the block
+                   carry on accumulating the same pack *)
+                let ca = exit_arm a in
+                let k = chain pack ~dirty ~join (b @ rest) in
+                fun rt -> if c rt then ca rt else k rt
+            | false, true ->
+                let cb = exit_arm b in
+                let k = chain pack ~dirty ~join (a @ rest) in
+                fun rt -> if c rt then k rt else cb rt
+            | false, false when block_empty a && block_empty b ->
+                (* still evaluate: the condition may charge memory
+                   accesses (unbatched) or get stuck *)
+                let k = chain pack ~dirty ~join rest in
+                fun rt ->
+                  ignore (c rt : bool);
+                  k rt
+            | false, false -> (
+                (* both arms rejoin: each applies its own charges as it
+                   leaves, the rest keeps the shared prefix *)
+                let base = Array.copy pack in
+                let rejoin blk =
+                  chain (Array.copy pack) ~dirty ~join:(Some base) blk
+                in
+                let ca = rejoin a and cb = rejoin b in
+                let dirty = dirty || Eval.block_calls a || Eval.block_calls b in
+                let k = chain pack ~dirty ~join rest in
+                match (block_empty a, block_empty b) with
+                | false, true ->
+                    fun rt ->
+                      if c rt then
+                        let r = ca rt in
+                        if r == k_next then k rt else r
+                      else k rt
+                | true, false ->
+                    fun rt ->
+                      if c rt then k rt
+                      else
+                        let r = cb rt in
+                        if r == k_next then k rt else r
+                | _ ->
+                    fun rt ->
+                      let r = if c rt then ca rt else cb rt in
+                      if r == k_next then k rt else r)))
+    | Stmt.While (kind, cond_e, body) :: rest ->
+        (* each test applies its own pack, each pass of the body its own
+           charges; the rest keeps the prefix *)
+        let lbound, lobs =
+          match kind with
+          | Stmt.Unroll n -> (n, None)
+          | Stmt.Pcv_loop (name, n) -> (n, Some (Perf.Pcv.v name))
+        in
+        let cpack = Array.make n_counts 0 in
+        let lcond =
+          match scond cpack cond_e with
+          | Bk b -> fun (_ : srt) -> b
+          | Bd f -> f
+        in
+        add cpack i_branch 1;
+        let dirty = dirty || Eval.block_calls body in
+        let base = Array.copy pack in
+        let lbody = chain (Array.copy pack) ~dirty ~join:(Some base) body in
+        let k = chain pack ~dirty ~join rest in
+        let cfg = { ccharge = direct cpack; lcond; lbody; lbound; lobs } in
+        fun rt ->
+          let r = loop_iter cfg 0 rt in
+          if r == k_next then k rt else r
+    | Stmt.Return action :: _ -> (
+        (* an exit: the whole path's static charge (RX framing + path +
+           TX framing) lands at once, with the deferred counters only
+           when a call may have filled them *)
+        add pack i_ret 1;
+        let port =
+          match action with
+          | Stmt.Forward e -> Some (sexpr pack e)
+          | Stmt.Drop | Stmt.Flood -> None
+        in
+        let dropped = action = Stmt.Drop in
+        add_tx pack ~batch ~dropped;
+        let code =
+          match action with
+          | Stmt.Forward _ -> code_sent
+          | Stmt.Drop -> code_dropped
+          | Stmt.Flood -> code_flooded
+        in
+        let charge =
+          if dirty then
+            let p = Array.copy pack in
+            fun rt -> settle p rt
+          else direct pack
+        in
+        let exit =
+          if batch then charge
+          else fun rt ->
+            charge rt;
+            tx_mems ~dropped rt
+        in
+        match port with
+        | None ->
+            fun rt ->
+              exit rt;
+              code
+        | Some (Kv p) ->
+            fun rt ->
+              rt.out_port <- p;
+              exit rt;
+              code_sent
+        | Some (Sv s) ->
+            fun rt ->
+              rt.out_port <- Array.unsafe_get rt.slots s;
+              exit rt;
+              code_sent
+        | Some (Dv f) ->
+            fun rt ->
+              rt.out_port <- f rt;
+              exit rt;
+              code_sent)
+  in
+  let body =
+    let pack = Array.make n_counts 0 in
+    add_rx pack ~batch;
+    chain pack ~dirty:false ~join:None program.Program.body
   in
   let in_port_slot = slot_of "in_port" and now_slot = slot_of "now" in
   let rt =
@@ -1381,44 +998,23 @@ let build program (dss : Ds.env) meter =
       out_port = 0;
     }
   in
-  let exec_general ~in_port ~now packet =
+  let exec_fn ~in_port ~now packet =
     rt.packet <- packet;
     Array.unsafe_set rt.slots in_port_slot in_port;
     Array.unsafe_set rt.slots now_slot now;
-    if batch then rx_frame_b rt else rx_frame rt;
+    if not batch then rx_mems rt;
     match body rt with
     | code ->
         if code == k_next then begin
           flush rt;
           Concrete.stuck "program fell through without returning"
         end
-        else begin
-          (if code == code_dropped then
-             if batch then tx_drop_frame_b rt else tx_drop_frame rt
-           else if batch then tx_sent_frame_b rt
-           else tx_sent_frame rt);
-          flush rt;
-          code
-        end
+        else code
     | exception e ->
+        (* a stuck packet reached no exit: retire what the fast paths
+           deferred, so the next packet starts from clean counters *)
         flush rt;
         raise e
-  in
-  let exec_fn =
-    match trace with
-    | None -> exec_general
-    | Some (attempt, tcode) ->
-        fun ~in_port ~now packet ->
-          rt.packet <- packet;
-          Array.unsafe_set rt.slots in_port_slot in_port;
-          Array.unsafe_set rt.slots now_slot now;
-          (* Until the attempt returns true it touches only scratch
-             state (slots, out_port, store staging) and charges
-             nothing, so a miss anywhere — guard, bounds, stuck — hands
-             the untouched packet to the general body, which recharges
-             from zero. *)
-          let hit = try attempt rt with _ -> false in
-          if hit then tcode else exec_general ~in_port ~now packet
   in
   let run_fn ?(in_port = 0) ?(now = 0) packet =
     let ic0 = Meter.ic meter and ma0 = Meter.ma meter in

@@ -5,15 +5,16 @@
     and recompiles it into closures with the remaining per-packet
     overhead hoisted to bind time: call sites resolve once to each
     structure's {!Ds.fast_path} (no generic dispatch, preallocated
-    argv, keys read in place), static instruction charges are packed
-    per straight-line segment, and outcomes travel as int codes instead
-    of exceptions.  The specialized fast body allocates zero minor
-    words per packet in steady state.
+    argv, keys read in place), each block becomes one fused closure
+    chain whose exits — returns and guard arms alike — apply their
+    whole path's static charge at once, and outcomes travel as int
+    codes instead of exceptions.  The specialized fast body allocates
+    zero minor words per packet in steady state.
 
     Specialization is charge-{e equivalent}, not charge-{e identical}:
-    instruction charges within one straight-line segment land as a
-    single batch, so a [Stuck] packet can differ from the interpreter
-    by part of its final segment's pack.  Completed packets are exact —
+    a path's static charges land only at its exit, so a [Stuck] packet
+    can differ from the interpreter by the static charge of the path it
+    had taken.  Completed packets are exact —
     same outcome, IC, MA, cycles and PCV observations (DESIGN §12).
     Batching is only sound when nothing reads the meter mid-packet, so
     [bind] transparently falls back to {!Compiled.runner} whenever the

@@ -28,6 +28,24 @@ val set_u16 : t -> int -> int -> unit
 val set_u32 : t -> int -> int -> unit
 val set_u48 : t -> int -> int -> unit
 
+val peek_u8 : t -> int -> int
+val peek_u16 : t -> int -> int
+val peek_u32 : t -> int -> int
+val peek_u48 : t -> int -> int
+(** [get_u*] without the exception: [-1] when the field does not lie
+    within the packet.  For hot loops that raise their own error. *)
+
+val poke_u8 : t -> int -> int -> bool
+val poke_u16 : t -> int -> int -> bool
+val poke_u32 : t -> int -> int -> bool
+val poke_u48 : t -> int -> int -> bool
+(** [set_u*] without the exception: [false], packet untouched, when the
+    field does not lie within the packet. *)
+
+val bounds_message : t -> int -> int -> string
+(** [bounds_message t off width] is the [Invalid_argument] message the
+    checked accessors raise for a [width]-byte access at [off]. *)
+
 val get : t -> Ir.Expr.width -> int -> int
 (** Width-dispatched load: [get t w off] is the big-endian [w]-wide
     field at [off].  The single accessor behind every IR [Pkt_load]. *)

@@ -6,11 +6,16 @@
      observations and final packet bytes — on both an address-blind
      (null, mem-batched) and an address-insensitive-but-unbatched
      (conservative) model;
-   - zero allocation: the four benched NFs allocate exactly 0 minor
-     words per packet through [Exec.Specialize.exec] in steady state;
+   - exit coverage: every guard exit applies its own path's charge pack,
+     so packets built to leave through each exit of each specializing NF
+     get their own exact-charge check on both model families;
+   - zero allocation: every specializing NF allocates exactly 0 minor
+     words per packet through [Exec.Specialize.exec] in steady state,
+     drop paths included;
    - stuck parity: runtime-contract violations raise the same message as
-     the interpreter (charges are equivalent, not identical — the final
-     segment's pack may differ, so only the message is compared);
+     the interpreter (charges are equivalent, not identical — a stuck
+     packet reaches no exit, so its path's pack never lands and only the
+     message is compared);
    - fallbacks: a tracing meter, a coupled-memory model and analysis
      mode must each decline to specialize yet still execute exactly. *)
 
@@ -64,12 +69,9 @@ let replay ~engine ~model ?(must_specialize = false)
       })
     stream
 
-let check_parity ?(packets = 200) ?(seed = 77) ?must_specialize ~model ~mname
-    nf =
-  let entry = Nf.Registry.find nf in
-  let stream =
-    Proptest.Gen_net.stream_for (Workload.Prng.create ~seed) ~nf ~packets
-  in
+(* Replay [stream] on both engines and demand packet-exact agreement;
+   returns the specialized side's results. *)
+let compare_replays ?must_specialize ~model ~ctx entry stream =
   let interp = replay ~engine:`Interp ~model entry (copy_stream stream) in
   let spec =
     replay ~engine:`Specialized ~model ?must_specialize entry
@@ -77,11 +79,22 @@ let check_parity ?(packets = 200) ?(seed = 77) ?must_specialize ~model ~mname
   in
   List.iteri
     (fun i (a, b) ->
-      let ctx what = Printf.sprintf "%s/%s packet %d %s" nf mname i what in
+      let ctx what = Printf.sprintf "%s packet %d %s" ctx i what in
       check_bool (ctx "run") true (a.run = b.run);
       check_bool (ctx "observations") true (a.observations = b.observations);
       check_bool (ctx "bytes") true (Bytes.equal a.bytes b.bytes))
-    (List.combine interp spec)
+    (List.combine interp spec);
+  spec
+
+let check_parity ?(packets = 200) ?(seed = 77) ?must_specialize ~model ~mname
+    nf =
+  let stream =
+    Proptest.Gen_net.stream_for (Workload.Prng.create ~seed) ~nf ~packets
+  in
+  ignore
+    (compare_replays ?must_specialize ~model
+       ~ctx:(Printf.sprintf "%s/%s" nf mname)
+       (Nf.Registry.find nf) stream)
 
 (* The four NFs the throughput benchmark freezes; each must actually
    take the specialized body (not the fallback) under both models. *)
@@ -117,12 +130,269 @@ let test_bridge_stress_parity () =
   check_parity ~packets:800 ~seed:91 ~model:Hw.Model.null ~mname:"null"
     ~must_specialize:true "bridge"
 
+(* Every registry NF whose call sites all have fast paths. *)
+let specializing =
+  [ "bridge"; "nat"; "conntrack"; "responder"; "firewall"; "static_router" ]
+
+(* ---- Exit coverage ---------------------------------------------------- *)
+
+(* Each guard exit charges its own pack — the static charge of the path
+   that reaches it — so each exit needs its own exact-charge check:
+   packets built to leave through every exit, replayed on both model
+   families. *)
+
+let src = 0x0a000001
+let dst = 0x0a000002
+
+let udp ?ttl ?(src_ip = src) ?(dst_ip = dst) ?(src_port = 1000)
+    ?(dst_port = 80) () =
+  Net.Build.udp ?ttl ~src_ip ~dst_ip ~src_port ~dst_port ()
+
+let with_proto proto p =
+  Net.Packet.set_u8 p 23 proto;
+  p
+
+(* The parse ladder's drops and the router/firewall header checks, plus
+   one valid packet per transport. *)
+let common_exits () =
+  [
+    Net.Packet.create 20 (* truncated: no room for an IPv4 header *);
+    Net.Build.non_ip ();
+    Net.Build.ipv4_with_options ~options:1 ~src_ip:src ~dst_ip:dst ()
+    (* ihl = 6 *);
+    with_proto Net.Ipv4.proto_icmp (udp ());
+    with_proto 47 (udp ());
+    udp ~ttl:1 ();
+    udp ~ttl:0 ();
+    udp ~src_ip:0 ();
+    udp ~dst_ip:0xffffffff ();
+    udp ();
+    Net.Build.tcp ~src_ip:src ~dst_ip:dst ~src_port:1000 ~dst_port:80 ();
+  ]
+
+let stream_of ports_packets =
+  List.mapi
+    (fun i (in_port, packet) ->
+      { Workload.Stream.packet; now = 1_000_000 + (i * 100); in_port })
+    ports_packets
+
+(* every common exit on both ingress ports: port 1 is the NAT's and the
+   connection tracker's external side, where an unknown flow misses *)
+let common_stream () =
+  stream_of
+    (List.concat_map (fun p -> [ (0, p); (1, Net.Packet.copy p) ])
+       (common_exits ()))
+
+let flow k = udp ~src_ip:(src + k) ~src_port:(2000 + k) ()
+
+(* NF-specific exits: (label, entry, stream, expected outcomes at stream
+   positions — proof that the stream reaches the exit at all). *)
+let specific_exits () =
+  let tiny_nat c = Nf.Registry.of_spec (Nf.Spec.Nat c) in
+  let nat = Nf.Nat.default_config in
+  (* three new internal flows, a reply to the first allocated port, and
+     an external packet no mapping covers *)
+  let nat_stream =
+    stream_of
+      [
+        (0, flow 1); (0, flow 2); (0, flow 3);
+        (1, udp ~dst_ip:Nf.Nat.external_ip ~dst_port:nat.Nf.Nat.port_lo ());
+        (1, udp ~dst_ip:Nf.Nat.external_ip ~dst_port:4242 ());
+      ]
+  in
+  let mac k = Net.Ethernet.mac_of_parts [| 2; 0; 0; 0; 0; k |] in
+  let frame s d =
+    Net.Build.eth ~src_mac:(mac s) ~dst_mac:d
+      ~ethertype:Net.Ethernet.ethertype_ipv4 ()
+  in
+  let echo ~dst_ip =
+    Net.Icmp.echo_request ~src_ip:src ~dst_ip ~ident:1 ~seq:1 ()
+  in
+  let reply = echo ~dst_ip:Nf.Responder.device_ip in
+  Net.Icmp.set_type reply Net.Icmp.type_echo_reply;
+  [
+    ( "nat table full",
+      tiny_nat { nat with capacity = 2; buckets = 2 },
+      nat_stream,
+      [ (2, Exec.Interp.Dropped); (4, Exec.Interp.Dropped) ] );
+    ( "nat ports exhausted",
+      tiny_nat { nat with port_hi = nat.Nf.Nat.port_lo + 1 },
+      nat_stream,
+      [ (2, Exec.Interp.Dropped); (3, Exec.Interp.Sent 0) ] );
+    ( "conntrack table full",
+      Nf.Registry.of_spec
+        (Nf.Spec.Conntrack
+           { Nf.Conntrack.default_config with capacity = 2; buckets = 2 }),
+      stream_of
+        [
+          (0, flow 1); (0, flow 2); (0, flow 3);
+          (1, udp ~src_ip:dst ~dst_ip:(src + 1) ~src_port:80 ~dst_port:2001 ());
+        ],
+      [ (2, Exec.Interp.Dropped); (3, Exec.Interp.Sent 0) ] );
+    ( "bridge",
+      Nf.Registry.find "bridge",
+      stream_of
+        [
+          (0, frame 1 (mac 2)) (* unknown destination *);
+          (1, frame 2 (mac 1));
+          (0, frame 3 (mac 1)) (* destination behind the ingress port *);
+          (0, frame 1 Net.Ethernet.broadcast_mac);
+        ],
+      [
+        (0, Exec.Interp.Flooded); (1, Exec.Interp.Sent 0);
+        (2, Exec.Interp.Dropped); (3, Exec.Interp.Flooded);
+      ] );
+    ( "responder",
+      Nf.Registry.find "responder",
+      stream_of
+        [
+          (0, echo ~dst_ip:Nf.Responder.device_ip);
+          (0, echo ~dst_ip:dst) (* not for us *);
+          (0, reply);
+        ],
+      [
+        (0, Exec.Interp.Sent 0); (1, Exec.Interp.Dropped);
+        (2, Exec.Interp.Dropped);
+      ] );
+  ]
+
+let test_exit_coverage () =
+  List.iter
+    (fun (mname, model) ->
+      List.iter
+        (fun nf ->
+          ignore
+            (compare_replays ~must_specialize:true ~model
+               ~ctx:(Printf.sprintf "%s exits/%s" nf mname)
+               (Nf.Registry.find nf) (common_stream ())))
+        specializing;
+      List.iter
+        (fun (label, entry, stream, expect) ->
+          let ctx = Printf.sprintf "%s/%s" label mname in
+          let spec =
+            compare_replays ~must_specialize:true ~model ~ctx entry stream
+          in
+          List.iter
+            (fun (i, outcome) ->
+              check_bool
+                (Printf.sprintf "%s packet %d leaves by the expected exit" ctx
+                   i)
+                true
+                (match (List.nth spec i).run with
+                | Ok r -> r.Exec.Interp.outcome = outcome
+                | Error _ -> false))
+            expect)
+        (specific_exits ()))
+    [ ("null", Hw.Model.null); ("conservative", Hw.Model.conservative) ]
+
+(* The registry's programs are mostly guard ladders; these two cover
+   the other control shapes on both model families: branch arms that
+   rejoin, loops whose body exits or falls back to the test, and calls
+   inside loops and arms, which leave charges in the deferred counters
+   for the exits after them to retire. *)
+let control_shapes () =
+  let open Ir in
+  let nat = Nf.Registry.find "nat" in
+  (* the replays read only an entry's name, program and setup *)
+  let entry name ~state ~setup body =
+    {
+      nat with
+      Nf.Registry.name;
+      program = Program.make ~name ~state body;
+      setup;
+    }
+  in
+  let stateless =
+    entry "rejoin_loop" ~state:[] ~setup:(fun _ -> [])
+      Expr.
+        [
+          Stmt.assign "x" (load8 (int 14));
+          Stmt.if_
+            (var "x" > int 100)
+            [
+              Stmt.if_ (var "x" > int 200) [ Stmt.drop ] [];
+              Stmt.assign "y" (int 1);
+            ]
+            [ Stmt.assign "y" (int 2); Stmt.assign "z" (var "y" * int 3) ];
+          Stmt.assign "i" (int 0);
+          Stmt.While
+            ( Stmt.Pcv_loop ("n", 8),
+              var "i" < Binop (And, var "x", int 7),
+              [
+                Stmt.if_ (var "i" == int 5) [ Stmt.forward (int 9) ] [];
+                Stmt.store8 (int 40) (var "i");
+                Stmt.assign "i" (var "i" + int 1);
+              ] );
+          Stmt.if_ (Binop (And, var "x", int 8) != int 0) [ Stmt.flood ] [];
+          Stmt.forward (var "y");
+        ]
+  in
+  let stateful =
+    entry "calls_in_loop"
+      ~state:[ { Program.instance = "ft"; kind = "flow_table" } ]
+      ~setup:(fun alloc ->
+        [
+          ( "ft",
+            Dslib.Flow_table.to_ds
+              (Dslib.Flow_table.create ~base:(Dslib.Layout.region alloc)
+                 ~key_len:1 ~capacity:8 ~buckets:8 ~timeout:1_000_000 ()) );
+        ])
+      Expr.
+        [
+          Stmt.assign "h" (load8 (int 26));
+          Stmt.assign "i" (int 0);
+          Stmt.assign "s" (int 0);
+          Stmt.While
+            ( Stmt.Unroll 3,
+              var "i" < int 2,
+              [
+                Stmt.call ~ret:"r" "ft" "get" [ var "h" + var "i"; var "now" ];
+                Stmt.if_
+                  (var "r" < int 0)
+                  [
+                    Stmt.call ~ret:"s" "ft" "put"
+                      [ var "h" + var "i"; int 1; var "now" ];
+                  ]
+                  [ Stmt.assign "s" (var "r") ];
+                Stmt.assign "i" (var "i" + int 1);
+              ] );
+          Stmt.if_
+            (Binop (And, var "h", int 1) == int 1)
+            [ Stmt.assign "t" (int 1) ]
+            [ Stmt.call ~ret:"t" "ft" "size" [] ];
+          Stmt.if_ (var "s" < int 0) [ Stmt.drop ] [];
+          Stmt.forward (var "t");
+        ]
+  in
+  [ stateless; stateful ]
+
+let test_control_shapes () =
+  let stream =
+    stream_of
+      (List.init 40 (fun k ->
+           let p = udp ~src_ip:(src + (k * 37 mod 23)) () in
+           Net.Packet.set_u8 p 14 (k * 29 mod 256);
+           (k land 1, p)))
+  in
+  List.iter
+    (fun (mname, model) ->
+      List.iter
+        (fun entry ->
+          ignore
+            (compare_replays ~must_specialize:true ~model
+               ~ctx:(Printf.sprintf "%s/%s" entry.Nf.Registry.name mname)
+               entry stream))
+        (control_shapes ()))
+    [ ("null", Hw.Model.null); ("conservative", Hw.Model.conservative) ]
+
 (* ---- Zero allocation -------------------------------------------------- *)
 
 (* Steady state through [exec]: warm one pass (tables populated, meter
    observation buffers grown), then demand EXACTLY zero minor words per
-   packet.  The two trailing [Gc.minor_words] reads measure the probe's
-   own cost so it can be subtracted. *)
+   packet.  The stream mixes flows with every common exit, so the guard
+   exits' own closures are held to the same bar.  The two trailing
+   [Gc.minor_words] reads measure the probe's own cost so it can be
+   subtracted. *)
 let test_zero_alloc () =
   List.iter
     (fun nf ->
@@ -133,27 +403,23 @@ let test_zero_alloc () =
       let flows =
         Workload.Gen.distinct_flows (Workload.Prng.create ~seed:42) 64
       in
-      let base = Workload.Gen.packets_of_flows flows in
-      let rec replicate acc k =
-        if k <= 0 then acc
-        else
-          replicate
-            (List.map (fun p -> Net.Packet.copy p) base @ acc)
-            (k - List.length base)
+      let base =
+        Array.of_list
+          (List.map
+             (fun e -> (e.Workload.Stream.packet, e.Workload.Stream.in_port))
+             (common_stream ())
+          @ List.map (fun p -> (p, 0)) (Workload.Gen.packets_of_flows flows))
       in
       let stream =
-        Array.of_list
-          (Workload.Stream.constant_rate ~in_port:0 ~start:1_000_000 ~gap:100
-             (replicate [] (2 * n)))
+        Array.init (2 * n) (fun i ->
+            let packet, in_port = base.(i mod Array.length base) in
+            (Net.Packet.copy packet, in_port, 1_000_000 + (i * 100)))
       in
       let run lo hi =
         for i = lo to hi - 1 do
-          let e = stream.(i) in
+          let packet, in_port, now = stream.(i) in
           Exec.Meter.reset_observations meter;
-          ignore
-            (Exec.Specialize.exec sp ~in_port:e.Workload.Stream.in_port
-               ~now:e.Workload.Stream.now e.Workload.Stream.packet
-              : int)
+          ignore (Exec.Specialize.exec sp ~in_port ~now packet : int)
         done
       in
       run 0 n;
@@ -164,7 +430,7 @@ let test_zero_alloc () =
       let words = w1 -. w0 -. (w2 -. w1) in
       check_int (nf ^ " minor words over a steady-state pass") 0
         (int_of_float words))
-    benched
+    specializing
 
 (* ---- Stuck parity ----------------------------------------------------- *)
 
@@ -281,6 +547,10 @@ let suite =
       test_parity_all_nfs;
     Alcotest.test_case "nat stress parity" `Quick test_nat_stress_parity;
     Alcotest.test_case "bridge stress parity" `Quick test_bridge_stress_parity;
+    Alcotest.test_case "every guard exit charge-exact" `Quick
+      test_exit_coverage;
+    Alcotest.test_case "rejoining arms, loops, calls inside" `Quick
+      test_control_shapes;
     Alcotest.test_case "zero minor words per packet" `Quick test_zero_alloc;
     Alcotest.test_case "stuck message parity" `Quick test_stuck_parity;
     Alcotest.test_case "tracing meter falls back" `Quick test_fallback_tracing;
