@@ -43,6 +43,14 @@ lint:
 	  echo "      you handle:"; \
 	  echo "$$hits"; exit 1; \
 	fi
+	@hits=$$(grep -nE "Hashtbl\.(create|mem|replace|find|add|remove)" \
+	  lib/hw/cache.ml lib/hw/realistic.ml || true); \
+	if [ -n "$$hits" ]; then \
+	  echo "lint: the cache simulator runs on every simulated access and"; \
+	  echo "      must not hash generically (polymorphic Hashtbl); use an"; \
+	  echo "      int-keyed Hashtbl.Make:"; \
+	  echo "$$hits"; exit 1; \
+	fi
 	@hits=$$(grep -rn "Interp\.run\|Ds\.find\|\.Ds\.call" lib/dataplane --include='*.ml' || true); \
 	if [ -n "$$hits" ]; then \
 	  echo "lint: the sharded dataplane's per-packet paths must stay on the"; \

@@ -1,22 +1,54 @@
+(* The hot path is flat and int-typed on purpose: every helper below is
+   annotated at [int] so that tag comparison is a machine compare rather
+   than polymorphic [caml_equal], a way search returns -1 instead of an
+   option, and power-of-two geometries index with shift/mask.  Dev-profile
+   builds pass [-opaque], so none of this could be left to cross-module
+   inlining. *)
+
 type t = {
-  sets : int array array;  (** [sets.(i)] holds line tags, LRU order *)
+  tags : int array;
+      (** set [s] holds its line tags at [s * assoc ..], MRU first *)
   fill : int array;  (** number of valid ways per set *)
   set_count : int;
+  assoc : int;
+  set_mask : int;  (** [set_count - 1] when a power of two, else -1 *)
   mutable hits : int;
   mutable misses : int;
 }
 
-let line_of_addr addr = addr / Cost.line_size
+let line_size = Cost.line_size
+
+let log2_exact n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  if n > 0 && n land (n - 1) = 0 then go 0 else -1
+
+let line_shift =
+  let k = log2_exact line_size in
+  assert (k >= 0);
+  k
+
+(* Shifting only agrees with [/] on non-negative addresses; the others
+   keep the division (and its truncation toward zero). *)
+let line_of_addr (addr : int) : int =
+  if addr >= 0 then addr lsr line_shift else addr / line_size
+
+(* A negative line yields a negative set, which the bounds check on [fill]
+   rejects, as indexing the set array always has. *)
+let set_of t (line : int) : int =
+  if line >= 0 && t.set_mask >= 0 then line land t.set_mask
+  else line mod t.set_count
 
 let create ~size_bytes ~assoc =
-  let lines = size_bytes / Cost.line_size in
+  let lines = size_bytes / line_size in
   if lines = 0 || lines mod assoc <> 0 then
     invalid_arg "Cache.create: size must be a multiple of assoc * line_size";
   let set_count = lines / assoc in
   {
-    sets = Array.init set_count (fun _ -> Array.make assoc (-1));
+    tags = Array.make (set_count * assoc) (-1);
     fill = Array.make set_count 0;
     set_count;
+    assoc;
+    set_mask = (if log2_exact set_count >= 0 then set_count - 1 else -1);
     hits = 0;
     misses = 0;
   }
@@ -25,68 +57,92 @@ let l1d () = create ~size_bytes:(32 * 1024) ~assoc:8
 let l2 () = create ~size_bytes:(256 * 1024) ~assoc:8
 let l3 () = create ~size_bytes:(2560 * 1024) ~assoc:20
 
-let find_way set fill tag =
-  let rec loop i = if i >= fill then None else
-    if set.(i) = tag then Some i else loop (i + 1)
-  in
-  loop 0
+(* Position of [tag] in [tags.(i .. stop - 1)], or -1. *)
+let rec find_way (tags : int array) (i : int) (stop : int) (tag : int) : int =
+  if i >= stop then -1
+  else if tags.(i) = tag then i
+  else find_way tags (i + 1) stop tag
 
-(* Move way [i] to the front (most-recently-used position). *)
-let promote set i =
-  let tag = set.(i) in
-  Array.blit set 0 set 1 i;
-  set.(0) <- tag
+(* Shift ways [base .. pos - 1] one step toward LRU and put [tag] in the
+   MRU way [base]. *)
+let move_to_front (tags : int array) (base : int) (pos : int) (tag : int) =
+  for j = pos downto base + 1 do
+    tags.(j) <- tags.(j - 1)
+  done;
+  tags.(base) <- tag
 
-let insert_line t line =
-  let idx = line mod t.set_count in
-  let set = t.sets.(idx) in
-  let fill = t.fill.(idx) in
-  match find_way set fill line with
-  | Some i -> promote set i
-  | None ->
-      let assoc = Array.length set in
-      let n = min fill (assoc - 1) in
-      Array.blit set 0 set 1 n;
-      set.(0) <- line;
-      if fill < assoc then t.fill.(idx) <- fill + 1
+(* Fill [line] in set [s] as MRU, evicting the LRU way when the set is
+   full; [i] is the line's position if already present, else -1. *)
+let fill_line t (s : int) (i : int) (line : int) =
+  let base = s * t.assoc in
+  if i >= 0 then move_to_front t.tags base i line
+  else begin
+    let fill = t.fill.(s) in
+    if fill < t.assoc then begin
+      move_to_front t.tags base (base + fill) line;
+      t.fill.(s) <- fill + 1
+    end
+    else move_to_front t.tags base (base + fill - 1) line
+  end
+
+let lookup t (s : int) (line : int) : int =
+  let base = s * t.assoc in
+  find_way t.tags base (base + t.fill.(s)) line
+
+let insert_line t (line : int) =
+  let s = set_of t line in
+  fill_line t s (lookup t s line) line
+
+let remove_line t (line : int) =
+  let s = set_of t line in
+  let i = lookup t s line in
+  if i >= 0 then begin
+    let fill = t.fill.(s) in
+    let last = (s * t.assoc) + fill - 1 in
+    for j = i to last - 1 do
+      t.tags.(j) <- t.tags.(j + 1)
+    done;
+    t.tags.(last) <- -1;
+    t.fill.(s) <- fill - 1
+  end
 
 let access t addr =
   let line = line_of_addr addr in
-  let idx = line mod t.set_count in
-  let set = t.sets.(idx) in
-  match find_way set t.fill.(idx) line with
-  | Some i ->
-      promote set i;
-      t.hits <- t.hits + 1;
-      true
-  | None ->
-      insert_line t line;
-      t.misses <- t.misses + 1;
-      false
+  let s = set_of t line in
+  let i = lookup t s line in
+  fill_line t s i line;
+  if i >= 0 then begin
+    t.hits <- t.hits + 1;
+    true
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    false
+  end
 
 let probe t addr =
   let line = line_of_addr addr in
-  let idx = line mod t.set_count in
-  find_way t.sets.(idx) t.fill.(idx) line <> None
+  lookup t (set_of t line) line >= 0
 
 let insert t addr = insert_line t (line_of_addr addr)
+let remove t addr = remove_line t (line_of_addr addr)
 
-let remove t addr =
-  let line = line_of_addr addr in
-  let idx = line mod t.set_count in
-  let set = t.sets.(idx) in
-  let fill = t.fill.(idx) in
-  match find_way set fill line with
-  | None -> ()
-  | Some i ->
-      Array.blit set (i + 1) set i (fill - i - 1);
-      set.(fill - 1) <- -1;
-      t.fill.(idx) <- fill - 1
+(* Apply [f] to each line of the [size]-byte region at [base]; the lines
+   are those of the addresses [base + k * line_size]. *)
+let iter_range f t ~base ~size =
+  let lines = (size + line_size - 1) / line_size in
+  if base >= 0 then begin
+    let first = base lsr line_shift in
+    for line = first to first + lines - 1 do
+      f t line
+    done
+  end
+  else
+    for k = 0 to lines - 1 do
+      f t (line_of_addr (base + (k * line_size)))
+    done
 
-let clear t =
-  Array.iter (fun set -> Array.fill set 0 (Array.length set) (-1)) t.sets;
-  Array.fill t.fill 0 t.set_count 0;
-  t.hits <- 0;
-  t.misses <- 0
+let insert_range t ~base ~size = iter_range insert_line t ~base ~size
+let remove_range t ~base ~size = iter_range remove_line t ~base ~size
 
 let stats t = (t.hits, t.misses)

@@ -34,7 +34,13 @@ val insert : t -> int -> unit
 val remove : t -> int -> unit
 (** Invalidate the line containing the address, if present (DMA). *)
 
-val clear : t -> unit
+val insert_range : t -> base:int -> size:int -> unit
+(** [insert] every line of the [size]-byte region at [base], in address
+    order. *)
+
+val remove_range : t -> base:int -> size:int -> unit
+(** [remove] every line of the [size]-byte region at [base]. *)
+
 val line_of_addr : int -> int
 val stats : t -> int * int
-(** [(hits, misses)] since creation or [clear]. *)
+(** [(hits, misses)] since creation. *)

@@ -1,9 +1,17 @@
+(* Line numbers hash to themselves: no generic [caml_hash] per access. *)
+module Lines = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (line : int) = line
+end)
+
 type t = {
   l1 : Cache.t;
   l2 : Cache.t;
   l3 : Cache.t;
   dtlb : Cache.t;  (** 64-entry, 4 KiB pages, modelled as a tiny cache *)
-  predicted : (int, unit) Hashtbl.t;  (** lines the prefetcher has in flight *)
+  predicted : unit Lines.t;  (** lines the prefetcher has in flight *)
   mutable last_miss_line : int;
   mutable last_miss_instr : int;  (** instr count at the last DRAM miss *)
   mutable overlap : int;  (** current memory-level parallelism degree *)
@@ -21,7 +29,7 @@ let create () =
     (* 64 page-table entries of one "line" each: reuse the cache machinery
        by mapping a 4 KiB page to a 64-byte pseudo-line *)
     dtlb = Cache.create ~size_bytes:(64 * 64) ~assoc:4;
-    predicted = Hashtbl.create 256;
+    predicted = Lines.create 256;
     last_miss_line = min_int;
     last_miss_instr = min_int;
     overlap = 1;
@@ -47,26 +55,23 @@ let instr t kind n =
 
 (* DMA delivered a fresh packet: its buffer (and the descriptor ring
    entry) leave the core caches; DDIO parks the lines in L3. *)
-let packet_boundary t ~regions =
-  List.iter
-    (fun (base, size) ->
-      let lines = (size + Cost.line_size - 1) / Cost.line_size in
-      for i = 0 to lines - 1 do
-        let addr = base + (i * Cost.line_size) in
-        Cache.remove t.l1 addr;
-        Cache.remove t.l2 addr;
-        Cache.insert t.l3 addr
-      done)
-    regions
+let rec packet_boundary t ~regions =
+  match regions with
+  | [] -> ()
+  | (base, size) :: rest ->
+      Cache.remove_range t.l1 ~base ~size;
+      Cache.remove_range t.l2 ~base ~size;
+      Cache.insert_range t.l3 ~base ~size;
+      packet_boundary t ~regions:rest
 
 (* Misses closer together than this many instructions may overlap. *)
 let burst_window = 48
 
 let train_prefetcher t line =
   if line = t.last_miss_line + 1 then begin
-    if Hashtbl.length t.predicted > 4096 then Hashtbl.reset t.predicted;
-    Hashtbl.replace t.predicted (line + 1) ();
-    Hashtbl.replace t.predicted (line + 2) ()
+    if Lines.length t.predicted > 4096 then Lines.reset t.predicted;
+    Lines.replace t.predicted (line + 1) ();
+    Lines.replace t.predicted (line + 2) ()
   end
 
 let tlb_miss_penalty = 7
@@ -81,11 +86,11 @@ let mem t ~addr ~write:_ ~dependent =
   let line = Cache.line_of_addr addr in
   let cost =
     if Cache.access t.l1 addr then Cost.l1_hit_cycles
-    else if Hashtbl.mem t.predicted line then begin
+    else if Lines.mem t.predicted line then begin
       (* The prefetch is in flight.  A dependent access still waits for
          part of the fill; an independent one overlaps it entirely. *)
-      Hashtbl.remove t.predicted line;
-      Hashtbl.replace t.predicted (line + 1) ();
+      Lines.remove t.predicted line;
+      Lines.replace t.predicted (line + 1) ();
       Cache.insert t.l2 addr;
       if dependent then Cost.prefetched_hit_cycles else Cost.l1_hit_cycles
     end
@@ -103,8 +108,8 @@ let mem t ~addr ~write:_ ~dependent =
       Cost.dram_cycles / overlap
     end
   in
+  (* no L1 fill here: [Cache.access t.l1] already filled the line *)
   train_prefetcher t line;
-  if not (Cache.probe t.l1 addr) then Cache.insert t.l1 addr;
   t.last_miss_line <- (if cost >= Cost.l2_hit_cycles then line
                        else t.last_miss_line);
   t.mem_cycles <- t.mem_cycles + cost

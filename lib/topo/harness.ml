@@ -140,9 +140,9 @@ type report = {
 let tracked_pcvs =
   Perf.Pcv.[ expired; collisions; traversals; occupancy; scan; ip_options ]
 
-(* Conservative per-packet binding: per-PCV max over every hop's
-   observations (a PCV never observed binds to 0). *)
-let binding_of tr extra_pcvs =
+(* Conservative per-packet binding over [pcvs]: per-PCV max over every
+   hop's observations (a PCV never observed binds to 0). *)
+let binding_of tr pcvs =
   List.map
     (fun pcv ->
       ( pcv,
@@ -152,10 +152,12 @@ let binding_of tr extra_pcvs =
               (fun acc (p, v) -> if Perf.Pcv.equal p pcv then max acc v else acc)
               acc h.observations)
           0 tr.hops ))
-    (List.sort_uniq Perf.Pcv.compare (tracked_pcvs @ extra_pcvs))
+    pcvs
 
 let check t ~worst stream =
-  let extra_pcvs = Perf.Cost_vec.pcvs worst in
+  let pcvs =
+    List.sort_uniq Perf.Pcv.compare (tracked_pcvs @ Perf.Cost_vec.pcvs worst)
+  in
   let violations = ref [] in
   let headroom = ref 100. in
   List.iteri
@@ -164,7 +166,7 @@ let check t ~worst stream =
         transit t ~in_port:e.Workload.Stream.in_port
           ~now:e.Workload.Stream.now e.Workload.Stream.packet
       in
-      let binding = binding_of tr extra_pcvs in
+      let binding = binding_of tr pcvs in
       let check_metric metric measured =
         let bound = Perf.Cost_vec.eval_exn binding worst metric in
         if bound < measured then

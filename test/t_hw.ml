@@ -2,6 +2,7 @@
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let check_int_triple = Alcotest.(check (triple int int int))
 
 let test_cache_basic () =
   let cache = Hw.Cache.create ~size_bytes:1024 ~assoc:2 in
@@ -138,6 +139,282 @@ let test_tlb_penalty () =
   check_bool "page walks cost" true
     (Hw.Realistic.cycles many_pages > Hw.Realistic.cycles one_page)
 
+(* ---- Cache against a list-based LRU reference ------------------------ *)
+
+(* The obvious model: one MRU-first list of line tags per set, with the
+   same line/set arithmetic as the simulator's general path. *)
+module Ref_lru = struct
+  type t = {
+    sets : int list array;
+    assoc : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let line = Hw.Cost.line_size
+
+  let create ~size_bytes ~assoc =
+    {
+      sets = Array.make (size_bytes / line / assoc) [];
+      assoc;
+      hits = 0;
+      misses = 0;
+    }
+
+  let locate t addr =
+    let l = addr / line in
+    (l mod Array.length t.sets, l)
+
+  let rec take n = function
+    | x :: rest when n > 0 -> x :: take (n - 1) rest
+    | _ -> []
+
+  let without l ways = List.filter (fun w -> w <> l) ways
+
+  let probe t addr =
+    let s, l = locate t addr in
+    List.mem l t.sets.(s)
+
+  let insert t addr =
+    let s, l = locate t addr in
+    t.sets.(s) <- take t.assoc (l :: without l t.sets.(s))
+
+  let access t addr =
+    let hit = probe t addr in
+    insert t addr;
+    if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+    hit
+
+  let remove t addr =
+    let s, l = locate t addr in
+    t.sets.(s) <- without l t.sets.(s)
+
+  let range f t ~base ~size =
+    for k = 0 to ((size + line - 1) / line) - 1 do
+      f t (base + (k * line))
+    done
+end
+
+(* Power-of-two set counts (shift/mask) and others (mod), a single set
+   and a direct-mapped cache. *)
+let geometries =
+  [| (1024, 2); (4096, 4); (192, 3); (1920, 3); (3072, 4); (320, 1) |]
+
+type cache_op =
+  | Access of int
+  | Probe of int
+  | Insert of int
+  | Remove of int
+  | Insert_range of int * int
+  | Remove_range of int * int
+
+let pp_cache_op = function
+  | Access a -> Printf.sprintf "access %d" a
+  | Probe a -> Printf.sprintf "probe %d" a
+  | Insert a -> Printf.sprintf "insert %d" a
+  | Remove a -> Printf.sprintf "remove %d" a
+  | Insert_range (b, n) -> Printf.sprintf "insert_range %d %d" b n
+  | Remove_range (b, n) -> Printf.sprintf "remove_range %d %d" b n
+
+(* Addresses over three times the capacity in lines, so sets overflow; a
+   few are negative, down to lines that index no set at all. *)
+let cache_case_gen =
+  let open QCheck2.Gen in
+  int_range 0 (Array.length geometries - 1) >>= fun g ->
+  let size_bytes, _ = geometries.(g) in
+  let addr =
+    frequency
+      [
+        (20, int_range 0 ((3 * size_bytes) - 1));
+        (1, int_range (-3 * Hw.Cost.line_size) (-1));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (6, map (fun a -> Access a) addr);
+        (3, map (fun a -> Probe a) addr);
+        (2, map (fun a -> Insert a) addr);
+        (2, map (fun a -> Remove a) addr);
+        (1, map2 (fun a n -> Insert_range (a, n)) addr (int_range (-64) 1600));
+        (1, map2 (fun a n -> Remove_range (a, n)) addr (int_range (-64) 1600));
+      ]
+  in
+  pair (return g) (list_size (int_range 1 300) op)
+
+let prop_cache_matches_reference =
+  QCheck2.Test.make ~count:300 ~name:"cache agrees with a list-based LRU"
+    ~print:(fun (g, ops) ->
+      let size_bytes, assoc = geometries.(g) in
+      Printf.sprintf "%d B %d-way: %s" size_bytes assoc
+        (String.concat "; " (List.map pp_cache_op ops)))
+    cache_case_gen
+    (fun (g, ops) ->
+      let size_bytes, assoc = geometries.(g) in
+      let c = Hw.Cache.create ~size_bytes ~assoc in
+      let r = Ref_lru.create ~size_bytes ~assoc in
+      (* a negative line indexes no set: both sides raise *)
+      let outcome f =
+        match f () with b -> Some b | exception Invalid_argument _ -> None
+      in
+      let both f g = (outcome f, outcome g) in
+      let unit f () = f (); false in
+      let step op =
+        let got, want =
+          match op with
+          | Access a ->
+              both
+                (fun () -> Hw.Cache.access c a)
+                (fun () -> Ref_lru.access r a)
+          | Probe a ->
+              both (fun () -> Hw.Cache.probe c a) (fun () -> Ref_lru.probe r a)
+          | Insert a ->
+              both
+                (unit (fun () -> Hw.Cache.insert c a))
+                (unit (fun () -> Ref_lru.insert r a))
+          | Remove a ->
+              both
+                (unit (fun () -> Hw.Cache.remove c a))
+                (unit (fun () -> Ref_lru.remove r a))
+          | Insert_range (base, size) ->
+              both
+                (unit (fun () -> Hw.Cache.insert_range c ~base ~size))
+                (unit (fun () -> Ref_lru.range Ref_lru.insert r ~base ~size))
+          | Remove_range (base, size) ->
+              both
+                (unit (fun () -> Hw.Cache.remove_range c ~base ~size))
+                (unit (fun () -> Ref_lru.range Ref_lru.remove r ~base ~size))
+        in
+        got = want && Hw.Cache.stats c = (r.Ref_lru.hits, r.Ref_lru.misses)
+      in
+      let resident a = Hw.Cache.probe c a = Ref_lru.probe r a in
+      List.for_all step ops
+      && List.for_all resident
+           (List.init (3 * size_bytes / Hw.Cost.line_size) (fun l ->
+                l * Hw.Cost.line_size)))
+
+(* ---- Realistic model: pinned cycles and an allocation-free hot path --- *)
+
+(* A fixed-seed stream mixing every kind of event the realistic model
+   sees.  It draws from its own LCG, so the pinned figure depends on
+   lib/hw alone. *)
+let mixed_stream_cycles () =
+  let m = Hw.Realistic.create () in
+  let state = ref 0x2545_F491 in
+  let next bound =
+    state := ((!state * 25214903917) + 11) land 0xFFFF_FFFF_FFFF;
+    (!state lsr 16) mod bound
+  in
+  let kinds = Array.of_list Hw.Cost.all_kinds in
+  let mem addr ~dependent =
+    Hw.Realistic.mem m ~addr ~write:(next 2 = 0) ~dependent
+  in
+  for pkt = 0 to 599 do
+    let buf = 0x1000_0000 + (next 512 * 2048) in
+    Hw.Realistic.packet_boundary m
+      ~regions:[ (buf, 1514); (0x7000_0000 + (pkt mod 256 * 16), 16) ];
+    for _ = 1 to 6 + next 10 do
+      Hw.Realistic.instr m kinds.(next (Array.length kinds)) (1 + next 8);
+      match next 6 with
+      | 0 ->
+          (* header reads: lines the DMA just parked in L3 *)
+          mem (buf + next 256) ~dependent:false
+      | 1 ->
+          (* a sequential walk trains the next-line prefetcher *)
+          let base = 0x2000_0000 + (next 4096 * 64) in
+          for i = 0 to 4 + next 16 do
+            mem (base + (i * 64)) ~dependent:true;
+            Hw.Realistic.instr m Hw.Cost.Alu 2
+          done
+      | 2 ->
+          (* a burst of independent DRAM misses overlaps *)
+          for _ = 1 to 2 + next 6 do
+            mem (0x4000_0000 + (next (1 lsl 22) * 64)) ~dependent:false;
+            Hw.Realistic.instr m Hw.Cost.Load 1
+          done
+      | 3 ->
+          (* a table's working set: mostly L2 and L3 *)
+          mem (0x3000_0000 + (next 16384 * 64) + next 64)
+            ~dependent:(next 2 = 0)
+      | 4 ->
+          (* scattered line pairs leave stale predictions behind until
+             the prefetch table resets *)
+          for _ = 1 to 40 do
+            let base = 0x6000_0000 + (next (1 lsl 20) * 128) in
+            mem base ~dependent:true;
+            mem (base + 64) ~dependent:true
+          done
+      | _ ->
+          (* small hot state: L1 *)
+          mem (0x5000_0000 + next 2048) ~dependent:false
+    done
+  done;
+  (Hw.Realistic.cycles m, Hw.Realistic.instr_count m, Hw.Realistic.mem_count m)
+(* The figures of the simulator before its cache was flattened: any
+   change to them is a change to every measured cycle. *)
+let test_realistic_pinned () =
+  check_int_triple "cycles, instrs, mems of the mixed stream"
+    (18549565, 58493, 106884) (mixed_stream_cycles ())
+
+(* Minor words [f ()] allocates; the two trailing reads measure the
+   probe's own cost so it can be subtracted. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  let w2 = Gc.minor_words () in
+  int_of_float (w1 -. w0 -. (w2 -. w1))
+
+let test_hot_path_alloc () =
+  let c = Hw.Cache.l1d () in
+  (* twice the capacity: hits, misses and full-set evictions *)
+  let span = 2 * 32 * 1024 in
+  let cache_ops () =
+    for i = 0 to 4095 do
+      let a = i * 97 mod span in
+      ignore (Hw.Cache.access c a : bool);
+      ignore (Hw.Cache.probe c (a + 4096) : bool);
+      Hw.Cache.remove c (a + 8192)
+    done
+  in
+  cache_ops ();
+  check_int "Cache.access/probe/remove" 0 (minor_words cache_ops);
+  let m = Hw.Realistic.create () in
+  let mem addr = Hw.Realistic.mem m ~addr ~write:false ~dependent:false in
+  let line = Hw.Cost.line_size in
+  (* L1 hits: four warm lines, none adjacent to the last miss *)
+  let hot = Array.init 4 (fun k -> 0x10_0000 + (k * 3 * line)) in
+  Array.iter mem hot;
+  let before = Hw.Realistic.cycles m in
+  let words =
+    minor_words (fun () ->
+        for i = 0 to 999 do
+          mem hot.(i land 3)
+        done)
+  in
+  check_int "Realistic.mem L1-hit path" 0 words;
+  check_int "all L1 hits" (1000 * Hw.Cost.l1_hit_cycles)
+    (Hw.Realistic.cycles m - before);
+  (* L3 hits: DMA parks four pages in L3 after one access per page has
+     warmed the DTLB; the even lines are then read, never two adjacent
+     lines in a row, so the prefetcher stays untrained *)
+  let base = 0x80_0000 and page = 4096 in
+  for p = 0 to 3 do
+    mem (base + (p * page) + line)
+  done;
+  Hw.Realistic.packet_boundary m ~regions:[ (base, 4 * page) ];
+  let before = Hw.Realistic.cycles m in
+  let evens = 4 * page / line / 2 in
+  let words =
+    minor_words (fun () ->
+        for k = 0 to evens - 1 do
+          mem (base + (2 * k * line))
+        done)
+  in
+  check_int "Realistic.mem L3-hit path" 0 words;
+  check_int "all L3 hits" (evens * Hw.Cost.l3_hit_cycles)
+    (Hw.Realistic.cycles m - before)
+
 let suite =
   [
     Alcotest.test_case "cache basics" `Quick test_cache_basic;
@@ -152,4 +429,8 @@ let suite =
       test_conservative_exceeds_realistic;
     Alcotest.test_case "null model" `Quick test_null_model;
     Alcotest.test_case "dtlb penalty" `Quick test_tlb_penalty;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 13 |])
+      prop_cache_matches_reference;
+    Alcotest.test_case "realistic cycles pinned" `Quick test_realistic_pinned;
+    Alcotest.test_case "hot path allocates nothing" `Quick test_hot_path_alloc;
   ]
