@@ -24,10 +24,13 @@ lint:
 	if [ -n "$$hits" ]; then \
 	  echo "lint: IR walker duplicated outside lib/ir:"; echo "$$hits"; exit 1; \
 	fi
-	@hits=$$(grep -rn "Interp\.run" lib/distiller lib/tuner lib/topo --include='*.ml' || true); \
+	@hits=$$(grep -rn "Interp\.run\|Compiled\.run" lib/distiller lib/tuner lib/topo \
+	  lib/dataplane --include='*.ml' || true); \
 	if [ -n "$$hits" ]; then \
-	  echo "lint: Distiller, tuner and topo per-packet paths must stay off"; \
-	  echo "      the interpreter (Exec.Compiled / Exec.Specialize only):"; \
+	  echo "lint: Distiller, tuner, topo and dataplane per-packet paths must"; \
+	  echo "      stay on the specialized engine (Exec.Specialize), off the"; \
+	  echo "      interpreter and the generic compiled runners"; \
+	  echo "      (Compiled.run, Compiled.runner, Compiled.run_batch):"; \
 	  echo "$$hits"; exit 1; \
 	fi
 	@hits=$$(grep -n "Ds\.find\|\.Ds\.call\|Meter\.instr" lib/exec/specialize.ml || true); \

@@ -1,6 +1,8 @@
 (* The Distiller's replay is the per-packet hot path of the repository:
-   it drives the closure-compiled program (Exec.Compiled — never the
-   interpreter) and folds every packet straight into flat arrays.  No
+   it drives the config-specialized program (Exec.Specialize — never the
+   interpreter; on the default realistic model too, whose coupled memory
+   pricing the specialized body charges exactly) and folds every packet
+   straight into flat arrays.  No
    per-packet report list is retained and PCV aggregates are built once
    at replay time, so [pcv_values]/[pcv_sums]/[latencies] are O(packets)
    reads of precomputed columns instead of O(obs)×O(pcv) rescans. *)
@@ -52,9 +54,10 @@ type t = {
 let run ?hw ~dss program stream =
   let model = match hw with Some m -> m | None -> Hw.Model.realistic () in
   let meter = Exec.Meter.create model in
-  let compiled = Exec.Compiled.compile program in
-  let replay =
-    Exec.Compiled.runner compiled ~meter ~mode:(Exec.Interp.Production dss)
+  let engine =
+    Exec.Specialize.bind
+      (Exec.Compiled.compile program)
+      ~meter ~mode:(Exec.Interp.Production dss)
   in
   let dma_regions =
     [ (Exec.Interp.packet_base, 2048); (Exec.Interp.rx_ring_base, 256) ]
@@ -83,7 +86,7 @@ let run ?hw ~dss program stream =
     (fun i { Workload.Stream.packet; now; in_port } ->
       Exec.Meter.reset_observations meter;
       model.Hw.Model.boundary dma_regions;
-      let run = replay ~in_port ~now packet in
+      let run = Exec.Specialize.run engine ~in_port ~now packet in
       outcomes.(i) <- run.Exec.Interp.outcome;
       ics.(i) <- run.Exec.Interp.ic;
       mas.(i) <- run.Exec.Interp.ma;

@@ -5,8 +5,10 @@
     contract — it tells the user which contract assumptions held for each
     packet of the trace.
 
-    The replay runs on the closure-compiled hot path ({!Exec.Compiled},
-    bit-identical to the interpreter) and streams every packet straight
+    The replay runs on the config-specialized hot path
+    ({!Exec.Specialize}: on every completed packet the same outcome,
+    costs and observations as the interpreter, realistic model included)
+    and streams every packet straight
     into flat arrays: per-packet costs and outcomes are columns, per-call
     PCV observations live in one flat stream with per-packet offsets, and
     per-PCV aggregate columns (max and sum) are folded in as the replay

@@ -20,8 +20,10 @@ let charge_hash meter ~key_len =
    per-kind counters (flushed by the compiled runner at packet exits)
    instead of going through the meter's per-event dispatch.  Memory
    charges still fire at the access point — addresses matter to some
-   models.  Only sound under a non-coupled, untraced model; the
-   specializer guarantees that. *)
+   models.  Only sound on an untraced meter (the specializer guarantees
+   that); on a coupled model the sink's [s_mem] lands the deferred
+   counters before each access, so a twin must charge in its metered
+   method's order. *)
 module Sink = struct
   let i_alu = Hw.Cost.kind_index Hw.Cost.Alu
   let i_mul = Hw.Cost.kind_index Hw.Cost.Mul

@@ -46,13 +46,43 @@ let conform t meter ~bytes ~now =
     0
   end
 
+(* Sink twin of [conform], charge for charge (see {!Hash_map} for the
+   discipline). *)
+module S = Costing.Sink
+
+let fast_conform t s ~bytes ~now =
+  S.load s ~addr:t.base ();
+  S.alu s 4;
+  S.branch s 1;
+  refill t now;
+  S.alu s 1;
+  S.branch s 1;
+  if bytes <= t.level then begin
+    t.level <- t.level - bytes;
+    S.store s ~addr:t.base ();
+    S.alu s 1;
+    1
+  end
+  else begin
+    S.store s ~addr:(t.base + 8) ();
+    0
+  end
+
 let to_ds t =
   let call meter meth (args : int array) =
     match meth with
     | "conform" -> conform t meter ~bytes:args.(0) ~now:args.(1)
     | other -> invalid_arg ("token_bucket: unknown method " ^ other)
   in
-  Exec.Ds.make ~kind call
+  let fast_path (s : Exec.Ds.sink) meth =
+    match meth with
+    | "conform" ->
+        Some
+          (fun (args : int array) ->
+            fast_conform t s ~bytes:args.(0) ~now:args.(1))
+    | _ -> None
+  in
+  Exec.Ds.make ~fast_path ~kind call
 
 module Recipe = struct
   open Perf

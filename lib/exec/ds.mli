@@ -13,7 +13,11 @@ type sink = {
           runner flushes them into the model at packet exits. *)
   s_mem : addr:int -> write:bool -> dependent:bool -> unit;
       (** Memory-access charge, applied at the access point (addresses
-          matter to some models). *)
+          matter to some models).  On a model whose [mem] reads the
+          instruction count ({!Hw.Model.t.coupled_mem}) it first lands
+          [s_counts], so a fast path must bump the counters in the same
+          order, relative to its accesses, as its metered twin
+          charges. *)
   s_mem_batched : bool;
       (** When [true], the model prices accesses independently of their
           address and [s_counts] has one extra slot at index

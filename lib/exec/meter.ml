@@ -67,6 +67,7 @@ let observe t pcv value =
 let tracing t = t.tracing
 let coupled_mem t = t.model.Hw.Model.coupled_mem
 let model_instr t = t.model.Hw.Model.instr
+let model_instr_pack t = t.model.Hw.Model.instr_pack
 let model_mem t = t.model.Hw.Model.mem
 let model_mem_bulk t = t.model.Hw.Model.mem_bulk
 let ic t = t.model.Hw.Model.instr_count ()

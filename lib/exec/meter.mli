@@ -49,11 +49,15 @@ val tracing : t -> bool
 
 val coupled_mem : t -> bool
 (** The wrapped model's {!Hw.Model.t.coupled_mem}: deferred [instr]
-    charges must be flushed before every [mem] charge. *)
+    charges must land before every [mem] charge they precede. *)
 
 val model_instr : t -> Hw.Cost.kind -> int -> unit
 (** The wrapped model's raw charge closure.  Bypasses the event trace,
     so only sound on a meter for which {!tracing} is [false]. *)
+
+val model_instr_pack : t -> int array -> unit
+(** The wrapped model's {!Hw.Model.t.instr_pack}; same caveat as
+    {!model_instr}. *)
 
 val model_mem : t -> addr:int -> write:bool -> dependent:bool -> unit
 (** Raw memory-charge closure; same caveat as {!model_instr}. *)

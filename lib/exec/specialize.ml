@@ -24,6 +24,17 @@
      bulk charge at its exit.  Address-sensitive models (L1 tracking,
      burst windows) still see every access at its real address, in
      program order.
+   - When the model's memory pricing reads the instruction count
+     ({!Hw.Model.t.coupled_mem}, the realistic simulator's burst
+     window), [build] compiles in coupled mode: the pack is cut at
+     every access, so what the interpreter charged before the access
+     lands first, in one {!Hw.Model.t.instr_pack}.  Packs accumulate in
+     [Ir.Eval]'s order for this — an operator after its operands, [Ret]
+     and the result move after the call, a loop test's charges after
+     the test, a rejoining split's prefix before its arms — and the
+     sink retires the fast paths' deferred counters before each of
+     their accesses.  The choice is made once, at bind time; the other
+     models' bodies are unchanged.
    - Expressions compile to shape-specialized closures: variable reads
      fuse into their consumers (slot indices are known at bind time),
      comparisons compile to direct boolean tests that never materialize
@@ -38,10 +49,10 @@
    static pack never lands, and it can differ from the interpreter by
    that prefix (completed packets — and therefore everything a caller
    can observe across packets — are exact: same outcomes, IC, MA,
-   cycles, observations; see DESIGN §12).  Packing is only sound when
-   charges commute and nothing reads the meter mid-packet, so [bind]
-   falls back to {!Compiled.runner} whenever the meter traces events,
-   the model couples memory pricing to instruction counts, the mode is
+   cycles, observations; see DESIGN §12; on a coupled model the missing
+   prefix can also shift the cycles of later packets).  Packing cannot
+   reproduce a per-event stream, so [bind] falls back to
+   {!Compiled.runner} whenever the meter traces events, the mode is
    Analysis, or any call site lacks a fast path.  One runner API, two
    dispositions — callers never need to know which they got. *)
 
@@ -84,6 +95,7 @@ type srt = {
       (** deferred charges of the data-structure fast paths: [nkinds]
           instr kinds plus batched mems *)
   minstr : Hw.Cost.kind -> int -> unit;
+  mpack : int array -> unit;  (** one charge of a per-kind pack (coupled) *)
   mmem : addr:int -> write:bool -> dependent:bool -> unit;
   mbulk : int -> unit;  (** retires batched mems; unused unbatched *)
   mutable out_port : int;  (** valid after the body returns [code_sent] *)
@@ -162,6 +174,98 @@ let tx_mems ~dropped rt =
       rt.mmem ~addr:(Concrete.rx_ring_base + 64 + (i * 8)) ~write:true
         ~dependent:false
     done
+
+(* ---- coupled models ------------------------------------------------
+
+   A model whose [mem] reads the running instruction count must see,
+   before each access, exactly what the interpreter charged before it.
+   Coupled mode therefore cuts the static pack at every access: what the
+   path accumulated since the previous cut lands in one [instr_pack],
+   then the access fires.  The deferred counters of a fast path land
+   before each of its own accesses ([retire], from the sink) and together
+   with the call's [Ret]/result move once it returns ([settle_packed]),
+   so outside a call they are always empty and exits need no settle. *)
+
+let retire mpack (c : int array) =
+  mpack c;
+  for i = 0 to nkinds - 1 do
+    Array.unsafe_set c i 0
+  done
+
+let settle_packed (pack : int array) rt =
+  let c = rt.counts in
+  for i = 0 to nkinds - 1 do
+    Array.unsafe_set c i (Array.unsafe_get c i + Array.unsafe_get pack i)
+  done;
+  retire rt.mpack c
+
+let nothing (_ : srt) = ()
+
+(* A static pack applied in one model charge.  Snapshots [pack]. *)
+let packed (pack : int array) : srt -> unit =
+  if Array.for_all (( = ) 0) pack then nothing
+  else
+    let p = Array.copy pack in
+    fun rt -> rt.mpack p
+
+(* Cut the running pack: its charges land where the returned action runs,
+   and the path carries on from an empty pack. *)
+let cut pack =
+  let land_ = packed pack in
+  Array.fill pack 0 n_counts 0;
+  land_
+
+let single i =
+  let p = Array.make n_counts 0 in
+  p.(i) <- 1;
+  p
+
+let store1 = single i_store
+let load1 = single i_load
+let branch1 = single i_branch
+
+(* [Concrete.charge_rx] for a coupled model: each ring load lands before
+   its access; the trailing branches open the body's pack. *)
+let rx_head =
+  let p = Array.make n_counts 0 in
+  add p i_alu 22;
+  add p i_move 8;
+  add p i_load 1;
+  p
+
+let rx_coupled rt =
+  rt.mpack rx_head;
+  for i = 0 to 3 do
+    if i > 0 then rt.mpack load1;
+    rt.mmem ~addr:(Concrete.rx_ring_base + (i * 8)) ~write:false
+      ~dependent:false
+  done
+
+(* [Concrete.charge_tx] for a coupled model, closing a path whose
+   uncut charges are in [pack]. *)
+let tx_coupled pack ~dropped : srt -> unit =
+  if dropped then begin
+    add pack i_alu 4;
+    add pack i_store 1;
+    let head = cut pack in
+    fun rt ->
+      head rt;
+      rt.mmem ~addr:Concrete.rx_ring_base ~write:true ~dependent:false
+  end
+  else begin
+    add pack i_alu 14;
+    add pack i_move 4;
+    add pack i_store 1;
+    let head = cut pack in
+    fun rt ->
+      head rt;
+      for i = 0 to 2 do
+        if i > 0 then rt.mpack store1;
+        rt.mmem ~addr:(Concrete.rx_ring_base + 64 + (i * 8)) ~write:true
+          ~dependent:false
+      done;
+      rt.mpack branch1
+  end
 
 (* Loop skeletons, hoisted: a local [let rec] would capture its
    environment and allocate per packet. *)
@@ -615,6 +719,8 @@ let rec terminates block =
    [Not_specializable] when a call site has no fast path. *)
 let build program (dss : Ds.env) meter =
   let batch = Meter.model_mem_bulk meter <> None in
+  let coupled = Meter.coupled_mem meter && not batch in
+  let mpack = Meter.model_instr_pack meter in
   let slots_tbl = Hashtbl.create 16 in
   let next_slot = ref 0 in
   let slot_of v =
@@ -626,26 +732,26 @@ let build program (dss : Ds.env) meter =
         Hashtbl.add slots_tbl v s;
         s
   in
+  (* every variable a packet can bind has its slot from here on *)
   List.iter (fun v -> ignore (slot_of v)) Program.input_vars;
-  let bound =
-    List.fold_left
-      (fun set v ->
-        ignore (slot_of v);
-        v :: set)
-      Program.input_vars
-      (Eval.assigned_vars program.Program.body)
-  in
+  List.iter
+    (fun v -> ignore (slot_of v))
+    (Eval.assigned_vars program.Program.body);
   (* where calls without a return variable write their result *)
   let discard = !next_slot in
   incr next_slot;
   let counts = Array.make n_counts 0 in
+  let mmem = Meter.model_mem meter in
   let sink =
     {
       Ds.s_counts = counts;
       s_mem =
         (if batch then fun ~addr:_ ~write:_ ~dependent:_ ->
            Array.unsafe_set counts i_mem (Array.unsafe_get counts i_mem + 1)
-         else Meter.model_mem meter);
+         else if coupled then fun ~addr ~write ~dependent ->
+           retire mpack counts;
+           mmem ~addr ~write ~dependent
+         else mmem);
       s_mem_batched = batch;
       s_meter = meter;
     }
@@ -663,18 +769,39 @@ let build program (dss : Ds.env) meter =
   let rec sexpr pack (e : Expr.t) : sval =
     match e with
     | Expr.Const n -> Kv n
-    | Expr.Var v ->
-        if List.mem v bound then Sv (slot_of v)
-        else Dv (fun _ -> Concrete.stuck "unbound variable %s" v)
+    | Expr.Var v -> (
+        match Hashtbl.find_opt slots_tbl v with
+        | Some s -> Sv s
+        | None -> Dv (fun _ -> Concrete.stuck "unbound variable %s" v))
     | Expr.Pkt_len ->
         add pack i_move 1;
         Dv (fun rt -> Net.Packet.length rt.packet)
     | Expr.Pkt_load (w, off_e) -> (
+        let voff = sexpr pack off_e in
         add pack i_load 1;
         if batch then add pack i_mem 1;
         let bytes = Expr.bytes_of_width w and peek = peek w in
-        match sexpr pack off_e with
+        match voff with
         | Kv off when off >= 0 && batch -> dv_load_b w off
+        | Kv off when off >= 0 && coupled ->
+            let addr = Concrete.packet_base + off and land_ = cut pack in
+            Dv
+              (fun rt ->
+                land_ rt;
+                rt.mmem ~addr ~write:false ~dependent:false;
+                let v = peek rt.packet off in
+                if v < 0 then oob rt off bytes else v)
+        | voff when coupled ->
+            let off = forcev voff and land_ = cut pack in
+            Dv
+              (fun rt ->
+                let off = off rt in
+                if off < 0 then Concrete.stuck "negative packet offset";
+                land_ rt;
+                rt.mmem ~addr:(Concrete.packet_base + off) ~write:false
+                  ~dependent:false;
+                let v = peek rt.packet off in
+                if v < 0 then oob rt off bytes else v)
         | Kv off when off >= 0 ->
             let addr = Concrete.packet_base + off in
             Dv
@@ -694,8 +821,9 @@ let build program (dss : Ds.env) meter =
                 let v = peek rt.packet off in
                 if v < 0 then oob rt off bytes else v))
     | Expr.Unop (op, a) -> (
+        let va = sexpr pack a in
         add pack i_alu 1;
-        match (op, sexpr pack a) with
+        match (op, va) with
         | _, Kv v -> Kv (Semantics.apply_unop op v)
         | Expr.Lnot, Sv s ->
             Dv (fun rt -> if Array.unsafe_get rt.slots s = 0 then 1 else 0)
@@ -706,9 +834,9 @@ let build program (dss : Ds.env) meter =
             let f = forcev v in
             Dv (fun rt -> lnot (f rt) land 0xffff_ffff))
     | Expr.Binop (op, a, b) ->
-        add pack (Hw.Cost.kind_index (Concrete.kind_of_binop op)) 1;
         let va = sexpr pack a in
         let vb = sexpr pack b in
+        add pack (Hw.Cost.kind_index (Concrete.kind_of_binop op)) 1;
         specialize_binop op va vb
   in
   (* Conditions compile to direct boolean tests: comparisons never
@@ -717,9 +845,9 @@ let build program (dss : Ds.env) meter =
   let rec scond pack (e : Expr.t) : sbool =
     match e with
     | Expr.Binop (((Expr.Land | Expr.Lor) as op), a, b) -> (
-        add pack (Hw.Cost.kind_index (Concrete.kind_of_binop op)) 1;
         let ca = scond pack a in
         let cb = scond pack b in
+        add pack (Hw.Cost.kind_index (Concrete.kind_of_binop op)) 1;
         let land_ = op = Expr.Land in
         match (ca, cb) with
         | Bk x, Bk y -> Bk (if land_ then x && y else x || y)
@@ -739,9 +867,9 @@ let build program (dss : Ds.env) meter =
                   let y = fb rt in
                   x || y))
     | Expr.Binop (op, a, b) ->
-        add pack (Hw.Cost.kind_index (Concrete.kind_of_binop op)) 1;
         let va = sexpr pack a in
         let vb = sexpr pack b in
+        add pack (Hw.Cost.kind_index (Concrete.kind_of_binop op)) 1;
         specialize_bool op va vb
     | _ -> (
         match sexpr pack e with
@@ -756,6 +884,17 @@ let build program (dss : Ds.env) meter =
     if batch then add pack i_mem 1;
     match off with
     | Kv off when off >= 0 && batch -> store_b w off value
+    | _ when coupled ->
+        let off = forcev off and bytes = Expr.bytes_of_width w in
+        let poke = poke w and land_ = cut pack in
+        fun k rt ->
+          let off = off rt in
+          let v = value rt in
+          if off < 0 then Concrete.stuck "negative packet offset";
+          land_ rt;
+          rt.mmem ~addr:(Concrete.packet_base + off) ~write:true
+            ~dependent:false;
+          if poke rt.packet off v then k rt else oob rt off bytes
     | _ ->
         let off = forcev off and bytes = Expr.bytes_of_width w in
         let poke = poke w in
@@ -772,7 +911,10 @@ let build program (dss : Ds.env) meter =
       (srt -> int) -> srt -> int =
     let vals = List.map (sexpr pack) args in
     add pack i_call 1;
-    add pack i_ret 1;
+    (* coupled: [Ret] and the result move land after the callee's
+       accesses, with whatever it left in the counters *)
+    let post = if coupled then Array.make n_counts 0 else pack in
+    add post i_ret 1;
     let plan =
       {
         argv = Array.make (max (List.length vals) 1) 0;
@@ -785,10 +927,20 @@ let build program (dss : Ds.env) meter =
       match ret with
       | None -> discard
       | Some v ->
-          add pack i_move 1;
+          add post i_move 1;
           slot_of v
     in
-    fun k rt ->
+    if coupled then
+      let land_ = cut pack in
+      fun k rt ->
+        marshal plan rt;
+        Obs.Metrics.incr Concrete.c_calls;
+        land_ rt;
+        let v = fn plan.argv in
+        settle_packed post rt;
+        Array.unsafe_set rt.slots r v;
+        k rt
+    else fun k rt ->
       marshal plan rt;
       Obs.Metrics.incr Concrete.c_calls;
       Array.unsafe_set rt.slots r (fn plan.argv);
@@ -812,7 +964,7 @@ let build program (dss : Ds.env) meter =
             let own = Array.mapi (fun i n -> n - base.(i)) pack in
             if Array.for_all (( = ) 0) own then fun (_ : srt) -> k_next
             else
-              let c = direct own in
+              let c = if coupled then packed own else direct own in
               fun rt ->
                 c rt;
                 k_next)
@@ -878,7 +1030,19 @@ let build program (dss : Ds.env) meter =
                   k rt
             | false, false -> (
                 (* both arms rejoin: each applies its own charges as it
-                   leaves, the rest keeps the shared prefix *)
+                   leaves, the rest keeps the shared prefix — which a
+                   coupled model needs landed before either arm's
+                   accesses, so there the prefix lands after the test
+                   and every arm starts from an empty pack *)
+                let c =
+                  if coupled then
+                    let land_ = cut pack in
+                    fun rt ->
+                      let b = c rt in
+                      land_ rt;
+                      b
+                  else c
+                in
                 let base = Array.copy pack in
                 let rejoin blk =
                   chain (Array.copy pack) ~dirty ~join:(Some base) blk
@@ -919,11 +1083,29 @@ let build program (dss : Ds.env) meter =
         in
         add cpack i_branch 1;
         let dirty = dirty || Eval.block_calls body in
+        (* coupled: the prefix lands before the loop, and each test's
+           charges after the test itself (its accesses cut their own
+           share); the body and the rest start from empty packs *)
+        let prefix = if coupled then cut pack else nothing in
+        let ccharge, lcond =
+          if coupled then
+            let land_ = cut cpack in
+            ( nothing,
+              fun rt ->
+                let b = lcond rt in
+                land_ rt;
+                b )
+          else (direct cpack, lcond)
+        in
         let base = Array.copy pack in
         let lbody = chain (Array.copy pack) ~dirty ~join:(Some base) body in
         let k = chain pack ~dirty ~join rest in
-        let cfg = { ccharge = direct cpack; lcond; lbody; lbound; lobs } in
-        fun rt ->
+        let cfg = { ccharge; lcond; lbody; lbound; lobs } in
+        if coupled then fun rt ->
+          prefix rt;
+          let r = loop_iter cfg 0 rt in
+          if r == k_next then k rt else r
+        else fun rt ->
           let r = loop_iter cfg 0 rt in
           if r == k_next then k rt else r
     | Stmt.Return action :: _ -> (
@@ -937,24 +1119,27 @@ let build program (dss : Ds.env) meter =
           | Stmt.Drop | Stmt.Flood -> None
         in
         let dropped = action = Stmt.Drop in
-        add_tx pack ~batch ~dropped;
         let code =
           match action with
           | Stmt.Forward _ -> code_sent
           | Stmt.Drop -> code_dropped
           | Stmt.Flood -> code_flooded
         in
-        let charge =
-          if dirty then
-            let p = Array.copy pack in
-            fun rt -> settle p rt
-          else direct pack
-        in
         let exit =
-          if batch then charge
-          else fun rt ->
-            charge rt;
-            tx_mems ~dropped rt
+          if coupled then tx_coupled pack ~dropped
+          else begin
+            add_tx pack ~batch ~dropped;
+            let charge =
+              if dirty then
+                let p = Array.copy pack in
+                fun rt -> settle p rt
+              else direct pack
+            in
+            if batch then charge
+            else fun rt ->
+              charge rt;
+              tx_mems ~dropped rt
+          end
         in
         match port with
         | None ->
@@ -979,10 +1164,13 @@ let build program (dss : Ds.env) meter =
   in
   let body =
     let pack = Array.make n_counts 0 in
-    add_rx pack ~batch;
+    (* coupled: the RX ring accesses fire before the body, which opens
+       with the framing's trailing branches *)
+    if coupled then add pack i_branch 2 else add_rx pack ~batch;
     chain pack ~dirty:false ~join:None program.Program.body
   in
   let in_port_slot = slot_of "in_port" and now_slot = slot_of "now" in
+  let rx = if coupled then rx_coupled else rx_mems in
   let rt =
     {
       meter;
@@ -990,7 +1178,8 @@ let build program (dss : Ds.env) meter =
       slots = Array.make !next_slot 0;
       counts;
       minstr = Meter.model_instr meter;
-      mmem = Meter.model_mem meter;
+      mpack;
+      mmem;
       mbulk =
         (match Meter.model_mem_bulk meter with
         | Some f -> f
@@ -1002,7 +1191,7 @@ let build program (dss : Ds.env) meter =
     rt.packet <- packet;
     Array.unsafe_set rt.slots in_port_slot in_port;
     Array.unsafe_set rt.slots now_slot now;
-    if not batch then rx_mems rt;
+    if not batch then rx rt;
     match body rt with
     | code ->
         if code == k_next then begin
@@ -1051,7 +1240,7 @@ let fallback ct ~meter ~mode =
   { specialized = false; run_fn; exec_fn; out_port_fn = (fun () -> !last_port) }
 
 let bind ct ~meter ~mode =
-  if Meter.tracing meter || Meter.coupled_mem meter then
+  if Meter.tracing meter then
     fallback ct ~meter ~mode
   else
     match mode with

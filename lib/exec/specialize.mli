@@ -16,11 +16,14 @@
     can differ from the interpreter by the static charge of the path it
     had taken.  Completed packets are exact —
     same outcome, IC, MA, cycles and PCV observations (DESIGN §12).
-    Batching is only sound when nothing reads the meter mid-packet, so
-    [bind] transparently falls back to {!Compiled.runner} whenever the
-    meter traces events, the hardware model couples memory pricing to
-    instruction counts, the mode is [Analysis], or any call site lacks
-    a fast path. *)
+    A model whose memory pricing reads the instruction count
+    ({!Hw.Model.t.coupled_mem}) gets a body that lands, before every
+    memory access, exactly what the interpreter charged before it —
+    chosen at bind time, at no per-packet cost to other models.
+    Packing cannot reproduce a per-event stream, so [bind]
+    transparently falls back to {!Compiled.runner} whenever the meter
+    traces events, the mode is [Analysis], or any call site lacks a
+    fast path. *)
 
 type t
 (** A program bound to one stream's frozen configuration. *)

@@ -7,6 +7,12 @@
 type t = {
   name : string;
   instr : Cost.kind -> int -> unit;
+  instr_pack : int array -> unit;
+      (** [instr_pack counts] charges [counts.(Cost.kind_index k)]
+          instructions of every kind [k] in one call — exactly one
+          {!instr} call per non-zero kind.  [counts] may be longer than
+          {!Cost.nkinds}; only the first {!Cost.nkinds} entries are
+          read. *)
   mem : addr:int -> write:bool -> dependent:bool -> unit;
   cycles : unit -> int;
   instr_count : unit -> int;
@@ -25,10 +31,14 @@ type t = {
   coupled_mem : bool;
       (** [mem] reads instruction-count state (the realistic simulator's
           burst-window overlap detection), so a client that batches
-          deferred [instr] charges must flush them before every [mem]
-          charge to keep cycle counts exact.  [instr] itself is linear
-          in its count argument in every model — same-kind charges may
-          be merged freely between memory accesses. *)
+          deferred [instr] charges must land every instruction the
+          interpreter would have charged before an access ahead of that
+          access's [mem] charge — {!Exec.Compiled} flushes its counters
+          there, {!Exec.Specialize} cuts its static packs there.
+          [instr] itself is linear in its count argument in every model
+          and nothing but [mem] reads the running count, so charges of
+          any kinds may be merged freely between memory accesses (one
+          {!instr_pack} per cut). *)
 }
 
 val conservative : unit -> t

@@ -43,15 +43,29 @@ let create () =
 let mispredict_rate = 32
 let mispredict_penalty = 15
 
+let branches t n =
+  t.branches <- t.branches + n;
+  let mispredicts =
+    (t.branches / mispredict_rate) - ((t.branches - n) / mispredict_rate)
+  in
+  t.mem_cycles <- t.mem_cycles + (mispredicts * mispredict_penalty)
+
 let instr t kind n =
   t.instrs <- t.instrs + n;
-  if kind = Cost.Branch then begin
-    t.branches <- t.branches + n;
-    let mispredicts =
-      (t.branches / mispredict_rate) - ((t.branches - n) / mispredict_rate)
-    in
-    t.mem_cycles <- t.mem_cycles + (mispredicts * mispredict_penalty)
-  end
+  if kind = Cost.Branch then branches t n
+
+(* Mispredicts depend only on the running branch total, so one charge of
+   the summed counts prices exactly like one [instr] call per kind. *)
+let i_branch = Cost.kind_index Cost.Branch
+
+let instr_pack t (counts : int array) =
+  let total = ref 0 in
+  for i = 0 to Cost.nkinds - 1 do
+    total := !total + Array.unsafe_get counts i
+  done;
+  t.instrs <- t.instrs + !total;
+  let b = Array.unsafe_get counts i_branch in
+  if b > 0 then branches t b
 
 (* DMA delivered a fresh packet: its buffer (and the descriptor ring
    entry) leave the core caches; DDIO parks the lines in L3. *)

@@ -19,6 +19,11 @@ val instr : t -> Cost.kind -> int -> unit
 (** Instructions retire superscalar; a deterministic fraction of branches
     mispredicts and pays a pipeline-flush penalty. *)
 
+val instr_pack : t -> int array -> unit
+(** [instr_pack t counts] charges [counts.(Cost.kind_index k)]
+    instructions of every kind [k] at once — priced exactly as one
+    {!instr} call per kind. *)
+
 val mem : t -> addr:int -> write:bool -> dependent:bool -> unit
 (** [dependent] marks an access whose address depends on the previous
     load (pointer chasing); dependent misses cannot overlap. *)

@@ -567,9 +567,17 @@ let compiled_interp_agreement ?(compile = real_compile)
         stream
     in
     (* specialized legs run untraced: a tracing meter makes [bind] fall
-       back to the generic runner and the fast body would go untested *)
-    let replay_untraced engine =
-      let meter = Exec.Meter.create (Hw.Model.null ()) in
+       back to the generic runner and the fast body would go untested.
+       The [coupled] leg runs on the recording model, whose access log
+       pins the instruction count at every access — the order in which a
+       coupled body lands its charges, across the loops, rejoining arms
+       and loads inside operands that generated programs are full of. *)
+    let replay_untraced ~coupled engine =
+      let recorder = Recording.create () in
+      let meter =
+        Exec.Meter.create
+          (if coupled then Recording.model recorder else Hw.Model.null ())
+      in
       let mode = Exec.Interp.Production (fresh_dss ()) in
       let exec =
         match engine with
@@ -590,7 +598,13 @@ let compiled_interp_agreement ?(compile = real_compile)
             | r -> Ok r
             | exception Exec.Interp.Stuck msg -> Error msg
           in
-          (outcome, Exec.Meter.observations meter, Net.Packet.to_bytes packet))
+          (* a Stuck packet's accesses are outside the
+             charge-equivalence contract, like its costs *)
+          let log = Recording.take recorder in
+          ( outcome,
+            Exec.Meter.observations meter,
+            Net.Packet.to_bytes packet,
+            match outcome with Ok _ -> log | Error _ -> [] ))
         stream
     in
     let pp_run ppf (outcome, obs) =
@@ -616,20 +630,34 @@ let compiled_interp_agreement ?(compile = real_compile)
           (subject_name subject) i pp_side (List.nth interp i) pp_side
           (List.nth compiled i)
     | None -> (
-        let s_interp = replay_untraced `Interp
-        and s_spec = replay_untraced `Specialized in
-        match
+        let spec_divergence ~coupled =
+          let s_interp = replay_untraced ~coupled `Interp
+          and s_spec = replay_untraced ~coupled `Specialized in
           List.find_index
             (fun (a, b) -> a <> b)
             (List.combine s_interp s_spec)
+          |> Option.map (fun i -> (i, List.nth s_interp i, List.nth s_spec i))
+        in
+        let pp_side ppf (outcome, obs, _bytes, log) =
+          pp_run ppf (outcome, obs);
+          if log <> [] then
+            Format.fprintf ppf ", accesses [%a]"
+              Fmt.(list ~sep:(any "; ") Recording.pp_access)
+              log
+        in
+        match
+          match spec_divergence ~coupled:false with
+          | Some d -> Some ("", d)
+          | None ->
+              Option.map
+                (fun d -> (" on a coupled model", d))
+                (spec_divergence ~coupled:true)
         with
-        | Some i ->
-            let pp_side ppf (outcome, obs, _bytes) = pp_run ppf (outcome, obs) in
+        | Some (where, (i, a, b)) ->
             fail name seed
-              "%s: specialized execution diverges from the interpreter at \
+              "%s: specialized execution diverges from the interpreter%s at \
                packet %d@.interp:      %a@.specialized: %a"
-              (subject_name subject) i pp_side (List.nth s_interp i) pp_side
-              (List.nth s_spec i)
+              (subject_name subject) where i pp_side a pp_side b
         | None -> (
         match (subject, stream) with
         | Generated _, { Workload.Stream.packet; now; in_port } :: _ -> (

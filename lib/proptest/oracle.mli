@@ -100,7 +100,9 @@ val compiled_interp_agreement :
     ({!Exec.Specialize.bind}) and replays the same stream through the
     specialized closures on an untraced meter, comparing outcome,
     costs, observations and packet bytes per packet (Stuck packets by
-    message — the charge-equivalence contract, DESIGN §12).  Registry
+    message — the charge-equivalence contract, DESIGN §12), once on the
+    null model and once on the coupled {!Recording} model, whose
+    per-packet access log must match as well.  Registry
     subjects get one fresh data-structure environment per engine so
     state evolves independently but identically.  [compile] substitutes
     the compiler under test (default {!Exec.Compiled.compile}) and

@@ -3,12 +3,20 @@
 
    - parity: on every registry NF the specialized stream must agree with
      the interpreter packet for packet — outcome, IC, MA, cycles, PCV
-     observations and final packet bytes — on both an address-blind
-     (null, mem-batched) and an address-insensitive-but-unbatched
-     (conservative) model;
+     observations and final packet bytes — on an address-blind (null,
+     mem-batched), an address-insensitive-but-unbatched (conservative)
+     and a coupled (realistic) model;
+   - coupled exactness: on a recording model that logs the instruction
+     count at every memory access, the specialized log must equal the
+     interpreter's access for access — the order in which static packs,
+     operator, call and loop-test charges land, which totals cannot see;
    - exit coverage: every guard exit applies its own path's charge pack,
      so packets built to leave through each exit of each specializing NF
-     get their own exact-charge check on both model families;
+     get their own exact-charge check on every model family;
+   - fast paths: each dslib sink twin charges exactly what its metered
+     method does, branch by branch;
+   - topologies: every built-in topology's transits through the
+     specialized harness match an interpreter replay hop for hop;
    - zero allocation: every specializing NF allocates exactly 0 minor
      words per packet through [Exec.Specialize.exec] in steady state,
      drop paths included;
@@ -16,8 +24,8 @@
      the interpreter (charges are equivalent, not identical — a stuck
      packet reaches no exit, so its path's pack never lands and only the
      message is compared);
-   - fallbacks: a tracing meter, a coupled-memory model and analysis
-     mode must each decline to specialize yet still execute exactly. *)
+   - fallbacks: a tracing meter and analysis mode must each decline to
+     specialize yet still execute exactly. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -27,7 +35,27 @@ type side = {
   run : (Exec.Interp.run, string) result;
   observations : (Perf.Pcv.t * int) list;
   bytes : Bytes.t;
+  accesses : Proptest.Recording.access list;
 }
+
+(* A replay's hardware: a fresh model, and how to read the accesses it
+   logged since the last packet (always none unless it records). *)
+let plain model () = (model (), fun () -> [])
+let null = plain Hw.Model.null
+let conservative = plain Hw.Model.conservative
+let realistic = plain Hw.Model.realistic
+
+let recording () =
+  let r = Proptest.Recording.create () in
+  (Proptest.Recording.model r, fun () -> Proptest.Recording.take r)
+
+let families =
+  [
+    ("null", null);
+    ("conservative", conservative);
+    ("realistic", realistic);
+    ("recording", recording);
+  ]
 
 let copy_stream stream =
   List.map
@@ -35,9 +63,10 @@ let copy_stream stream =
       { e with Workload.Stream.packet = Net.Packet.copy e.Workload.Stream.packet })
     stream
 
-let replay ~engine ~model ?(must_specialize = false)
+let replay ~engine ~hw ?(must_specialize = false)
     (entry : Nf.Registry.entry) stream =
-  let meter = Exec.Meter.create (model ()) in
+  let model, take = hw () in
+  let meter = Exec.Meter.create model in
   let exec =
     match engine with
     | `Interp ->
@@ -66,15 +95,22 @@ let replay ~engine ~model ?(must_specialize = false)
         run;
         observations = Exec.Meter.observations meter;
         bytes = Net.Packet.to_bytes packet;
+        accesses =
+          (* a Stuck packet's accesses, like its costs, are only
+             charge-equivalent *)
+          (let log = take () in
+           match run with Ok _ -> log | Error _ -> []);
       })
     stream
 
+let pp_accesses = Fmt.(list ~sep:(any "; ") Proptest.Recording.pp_access)
+
 (* Replay [stream] on both engines and demand packet-exact agreement;
    returns the specialized side's results. *)
-let compare_replays ?must_specialize ~model ~ctx entry stream =
-  let interp = replay ~engine:`Interp ~model entry (copy_stream stream) in
+let compare_replays ?must_specialize ~hw ~ctx entry stream =
+  let interp = replay ~engine:`Interp ~hw entry (copy_stream stream) in
   let spec =
-    replay ~engine:`Specialized ~model ?must_specialize entry
+    replay ~engine:`Specialized ~hw ?must_specialize entry
       (copy_stream stream)
   in
   List.iteri
@@ -82,32 +118,37 @@ let compare_replays ?must_specialize ~model ~ctx entry stream =
       let ctx what = Printf.sprintf "%s packet %d %s" ctx i what in
       check_bool (ctx "run") true (a.run = b.run);
       check_bool (ctx "observations") true (a.observations = b.observations);
-      check_bool (ctx "bytes") true (Bytes.equal a.bytes b.bytes))
+      check_bool (ctx "bytes") true (Bytes.equal a.bytes b.bytes);
+      if a.accesses <> b.accesses then
+        Alcotest.failf "%s:@.interp:      %a@.specialized: %a"
+          (ctx "memory accesses") pp_accesses a.accesses pp_accesses
+          b.accesses)
     (List.combine interp spec);
   spec
 
-let check_parity ?(packets = 200) ?(seed = 77) ?must_specialize ~model ~mname
+let check_parity ?(packets = 200) ?(seed = 77) ?must_specialize ~hw ~mname
     nf =
   let stream =
     Proptest.Gen_net.stream_for (Workload.Prng.create ~seed) ~nf ~packets
   in
   ignore
-    (compare_replays ?must_specialize ~model
+    (compare_replays ?must_specialize ~hw
        ~ctx:(Printf.sprintf "%s/%s" nf mname)
        (Nf.Registry.find nf) stream)
 
 (* The four NFs the throughput benchmark freezes; each must actually
-   take the specialized body (not the fallback) under both models. *)
+   take the specialized body (not the fallback) under both uncoupled
+   models. *)
 let benched = [ "firewall"; "static_router"; "nat"; "bridge" ]
 
 let test_parity_null () =
   List.iter
-    (check_parity ~model:Hw.Model.null ~mname:"null" ~must_specialize:true)
+    (check_parity ~hw:null ~mname:"null" ~must_specialize:true)
     benched
 
 let test_parity_conservative () =
   List.iter
-    (check_parity ~model:Hw.Model.conservative ~mname:"conservative"
+    (check_parity ~hw:conservative ~mname:"conservative"
        ~must_specialize:true)
     benched
 
@@ -115,7 +156,7 @@ let test_parity_conservative () =
 let test_parity_all_nfs () =
   List.iter
     (fun nf ->
-      check_parity ~packets:120 ~model:Hw.Model.null ~mname:"null" nf)
+      check_parity ~packets:120 ~hw:null ~mname:"null" nf)
     (Nf.Registry.names ())
 
 (* Longer, differently-seeded streams for the two stateful NFs whose
@@ -123,16 +164,54 @@ let test_parity_all_nfs () =
    directions through the port allocator, and the bridge walks
    collision chains as the MAC table fills. *)
 let test_nat_stress_parity () =
-  check_parity ~packets:800 ~seed:91 ~model:Hw.Model.null ~mname:"null"
+  check_parity ~packets:800 ~seed:91 ~hw:null ~mname:"null"
     ~must_specialize:true "nat"
 
 let test_bridge_stress_parity () =
-  check_parity ~packets:800 ~seed:91 ~model:Hw.Model.null ~mname:"null"
+  check_parity ~packets:800 ~seed:91 ~hw:null ~mname:"null"
     ~must_specialize:true "bridge"
 
 (* Every registry NF whose call sites all have fast paths. *)
 let specializing =
-  [ "bridge"; "nat"; "conntrack"; "responder"; "firewall"; "static_router" ]
+  [
+    "bridge"; "nat"; "conntrack"; "responder"; "firewall"; "static_router";
+    "policer"; "maglev";
+  ]
+
+(* A coupled model changes how charges land, not whether a stream
+   specializes: every NF that specializes on the null model must take
+   the specialized body on the realistic one too. *)
+let specializes model (entry : Nf.Registry.entry) =
+  let meter = Exec.Meter.create (model ()) in
+  Exec.Specialize.specialized (fst (Nf.Registry.specialize entry ~meter))
+
+let test_coupled_specializes () =
+  let on_null = List.filter (specializes Hw.Model.null) (Nf.Registry.all ()) in
+  check_bool "the null model specializes every listed NF" true
+    (List.for_all
+       (fun nf ->
+         List.exists (fun (e : Nf.Registry.entry) -> e.Nf.Registry.name = nf)
+           on_null)
+       specializing);
+  List.iter
+    (fun (e : Nf.Registry.entry) ->
+      check_bool
+        (e.Nf.Registry.name ^ " specializes on the realistic model")
+        true
+        (specializes Hw.Model.realistic e))
+    on_null
+
+(* Packet by packet, each specializing NF's accesses must reach a
+   coupled model with exactly the instruction count the interpreter had
+   charged before them; the realistic model's own cycles must agree too. *)
+let test_coupled_access_order () =
+  List.iter
+    (fun nf ->
+      check_parity ~packets:160 ~hw:recording ~mname:"recording"
+        ~must_specialize:true nf;
+      check_parity ~packets:160 ~seed:91 ~hw:realistic ~mname:"realistic"
+        ~must_specialize:true nf)
+    specializing
 
 (* ---- Exit coverage ---------------------------------------------------- *)
 
@@ -258,11 +337,11 @@ let specific_exits () =
 
 let test_exit_coverage () =
   List.iter
-    (fun (mname, model) ->
+    (fun (mname, hw) ->
       List.iter
         (fun nf ->
           ignore
-            (compare_replays ~must_specialize:true ~model
+            (compare_replays ~must_specialize:true ~hw
                ~ctx:(Printf.sprintf "%s exits/%s" nf mname)
                (Nf.Registry.find nf) (common_stream ())))
         specializing;
@@ -270,7 +349,7 @@ let test_exit_coverage () =
         (fun (label, entry, stream, expect) ->
           let ctx = Printf.sprintf "%s/%s" label mname in
           let spec =
-            compare_replays ~must_specialize:true ~model ~ctx entry stream
+            compare_replays ~must_specialize:true ~hw ~ctx entry stream
           in
           List.iter
             (fun (i, outcome) ->
@@ -283,11 +362,12 @@ let test_exit_coverage () =
                 | Error _ -> false))
             expect)
         (specific_exits ()))
-    [ ("null", Hw.Model.null); ("conservative", Hw.Model.conservative) ]
+    families
 
 (* The registry's programs are mostly guard ladders; these two cover
-   the other control shapes on both model families: branch arms that
-   rejoin, loops whose body exits or falls back to the test, and calls
+   the other control shapes on every model family: branch arms that
+   rejoin, loops whose body exits or falls back to the test, packet
+   loads inside operands, rejoining arms and loop tests, and calls
    inside loops and arms, which leave charges in the deferred counters
    for the exits after them to retire. *)
 let control_shapes () =
@@ -313,11 +393,14 @@ let control_shapes () =
               Stmt.if_ (var "x" > int 200) [ Stmt.drop ] [];
               Stmt.assign "y" (int 1);
             ]
-            [ Stmt.assign "y" (int 2); Stmt.assign "z" (var "y" * int 3) ];
+            [
+              Stmt.assign "y" (int 2);
+              Stmt.assign "z" (var "y" * load8 (int 15));
+            ];
           Stmt.assign "i" (int 0);
           Stmt.While
             ( Stmt.Pcv_loop ("n", 8),
-              var "i" < Binop (And, var "x", int 7),
+              var "i" < Binop (And, load8 (int 14), int 7),
               [
                 Stmt.if_ (var "i" == int 5) [ Stmt.forward (int 9) ] [];
                 Stmt.store8 (int 40) (var "i");
@@ -375,15 +458,15 @@ let test_control_shapes () =
            (k land 1, p)))
   in
   List.iter
-    (fun (mname, model) ->
+    (fun (mname, hw) ->
       List.iter
         (fun entry ->
           ignore
-            (compare_replays ~must_specialize:true ~model
+            (compare_replays ~must_specialize:true ~hw
                ~ctx:(Printf.sprintf "%s/%s" entry.Nf.Registry.name mname)
                entry stream))
         (control_shapes ()))
-    [ ("null", Hw.Model.null); ("conservative", Hw.Model.conservative) ]
+    families
 
 (* ---- Zero allocation -------------------------------------------------- *)
 
@@ -480,25 +563,256 @@ let test_stuck_parity () =
     (Program.make ~name:"oob_store" ~state:[]
        [ Stmt.store16 (Expr.int 63) (Expr.int 7); Stmt.drop ])
 
+(* ---- dslib fast paths ------------------------------------------------- *)
+
+(* A sink charging [meter]'s model the way a specialized body does:
+   batched on an address-blind model, otherwise each access at its
+   address with the deferred counters landed just before it — exact on
+   coupled models too.  [settle] lands whatever a call left behind. *)
+let sink_on meter =
+  let nk = Hw.Cost.nkinds in
+  let counts = Array.make (nk + 1) 0 in
+  let batched = Exec.Meter.model_mem_bulk meter <> None in
+  let land_ () =
+    Exec.Meter.model_instr_pack meter counts;
+    Array.fill counts 0 nk 0
+  in
+  let s_mem =
+    if batched then fun ~addr:_ ~write:_ ~dependent:_ ->
+      counts.(nk) <- counts.(nk) + 1
+    else fun ~addr ~write ~dependent ->
+      land_ ();
+      Exec.Meter.model_mem meter ~addr ~write ~dependent
+  in
+  let settle () =
+    land_ ();
+    match Exec.Meter.model_mem_bulk meter with
+    | Some bulk ->
+        bulk counts.(nk);
+        counts.(nk) <- 0
+    | None -> ()
+  in
+  ( { Exec.Ds.s_counts = counts; s_mem; s_mem_batched = batched;
+      s_meter = meter },
+    settle )
+
+(* One call's observable effect: result, the model's running totals and
+   the accesses it logged. *)
+type call_effect = {
+  result : int;
+  ic : int;
+  ma : int;
+  cycles : int;
+  obs : (Perf.Pcv.t * int) list;
+  logged : Proptest.Recording.access list;
+}
+
+(* Each structure's calls, chosen to take every branch of its methods. *)
+let fast_path_scenarios () =
+  [
+    ( "token_bucket",
+      (fun () ->
+        Dslib.Token_bucket.to_ds
+          (Dslib.Token_bucket.create ~base:0x2000_0000 ~rate:10 ~burst:1000
+             ())),
+      [
+        ("conform", [| 500; 0 |]) (* conform *);
+        ("conform", [| 600; 1 |]) (* exceed: 510 tokens after refill *);
+        ("conform", [| 100; 2 |]);
+        ("conform", [| 420; 2 |]) (* same instant: no refill *);
+        ("conform", [| 1; 2 |]) (* exceed on an empty bucket *);
+        ("conform", [| 900; 1_000_000_000 |]) (* clock jump clamps *);
+        ("conform", [| 2000; 1_000_000_001 |]) (* beyond the burst *);
+      ] );
+    ( "backend_pool",
+      (fun () ->
+        Dslib.Backend_pool.to_ds
+          (Dslib.Backend_pool.create ~base:0x2100_0000 ~count:4 ~timeout:100)),
+      [
+        ("heartbeat", [| 1; 10 |]);
+        ("heartbeat", [| 4; 10 |]) (* out of range *);
+        ("heartbeat", [| -1; 10 |]);
+        ("is_alive", [| 1; 50 |]) (* alive *);
+        ("is_alive", [| 1; 200 |]) (* dead: heartbeat too old *);
+        ("is_alive", [| 2; 5 |]) (* dead: never heartbeated *);
+        ("is_alive", [| 7; 0 |]) (* out of range *);
+        ("is_alive", [| -3; 0 |]);
+      ] );
+    ( "hash_ring",
+      (fun () ->
+        Dslib.Hash_ring.to_ds
+          (Dslib.Hash_ring.create ~base:0x2200_0000 ~table_size:13
+             ~backends:[ 1; 2; 3 ])),
+      List.map
+        (fun h -> ("backend_for", [| h |]))
+        [ 0; 5; 12; 13; 1_000_003 ] );
+  ]
+
+let test_fast_path_twins () =
+  List.iter
+    (fun (mname, hw) ->
+      List.iter
+        (fun (label, make, calls) ->
+          let run engine =
+            let model, take = hw () in
+            let meter = Exec.Meter.create model in
+            let ds : Exec.Ds.t = make () in
+            let sink, settle = sink_on meter in
+            List.map
+              (fun (meth, args) ->
+                Exec.Meter.reset_observations meter;
+                let result =
+                  match engine with
+                  | `Metered -> ds.Exec.Ds.call meter meth (Array.copy args)
+                  | `Fast -> (
+                      match ds.Exec.Ds.fast_path sink meth with
+                      | Some f ->
+                          let r = f (Array.copy args) in
+                          settle ();
+                          r
+                      | None ->
+                          Alcotest.failf "%s.%s has no fast path" label meth)
+                in
+                {
+                  result;
+                  ic = Exec.Meter.ic meter;
+                  ma = Exec.Meter.ma meter;
+                  cycles = Exec.Meter.cycles meter;
+                  obs = Exec.Meter.observations meter;
+                  logged = take ();
+                })
+              calls
+          in
+          List.iteri
+            (fun i (a, b) ->
+              check_bool
+                (Printf.sprintf "%s call %d (%s) on %s" label i
+                   (fst (List.nth calls i)) mname)
+                true (a = b))
+            (List.combine (run `Metered) (run `Fast)))
+        (fast_path_scenarios ()))
+    families
+
+(* ---- Topologies ------------------------------------------------------- *)
+
+(* Every built-in topology's workload, twice over with the clock moved
+   on, through the specialized harness on the realistic model — and
+   through a reference that walks the same graph on the interpreter,
+   one realistic model shared by its nodes: every hop must agree. *)
+let reference_transit ~hw stations (g : Topo.Graph.t) ~in_port ~now packet =
+  hw.Hw.Model.boundary [ (Exec.Interp.packet_base, 2048) ];
+  let rec hop_at name in_port acc =
+    let program, meter, dss = List.assoc name stations in
+    Exec.Meter.reset_observations meter;
+    let run =
+      Exec.Interp.run ~meter ~mode:(Exec.Interp.Production dss) ~in_port ~now
+        program packet
+    in
+    let hop =
+      {
+        Topo.Harness.node = name;
+        outcome = run.Exec.Interp.outcome;
+        ic = run.Exec.Interp.ic;
+        ma = run.Exec.Interp.ma;
+        cycles = run.Exec.Interp.cycles;
+        observations = Exec.Meter.observations meter;
+      }
+    in
+    let acc = hop :: acc in
+    match run.Exec.Interp.outcome with
+    | Exec.Interp.Dropped -> (List.rev acc, Topo.Analysis.Dropped name)
+    | Exec.Interp.Flooded -> (List.rev acc, Topo.Analysis.Flooded name)
+    | Exec.Interp.Sent p -> (
+        let edges = Topo.Graph.out_edges g name in
+        let target =
+          match
+            List.find_opt
+              (fun (e : Topo.Graph.edge) -> e.Topo.Graph.sel = Topo.Graph.Port p)
+              edges
+          with
+          | Some e -> Some e.Topo.Graph.target
+          | None ->
+              List.find_map
+                (fun (e : Topo.Graph.edge) ->
+                  if e.Topo.Graph.sel = Topo.Graph.Any then
+                    Some e.Topo.Graph.target
+                  else None)
+                edges
+        in
+        match target with
+        | Some (Topo.Graph.Node next) -> hop_at next p acc
+        | Some (Topo.Graph.Exit label) ->
+            (List.rev acc, Topo.Analysis.Exited { node = name; label })
+        | None ->
+            ( List.rev acc,
+              Topo.Analysis.Exited { node = name; label = Bolt.Dag.default_exit }
+            ))
+  in
+  hop_at g.Topo.Graph.ingress in_port []
+
+let test_topology_parity () =
+  List.iter
+    (fun (b : Topo.Builtin.entry) ->
+      let g = b.Topo.Builtin.graph in
+      let harness = Topo.Harness.create g in
+      List.iter
+        (fun (node, sp) ->
+          check_bool
+            (Printf.sprintf "%s/%s runs the specialized body" g.Topo.Graph.name
+               node)
+            true sp)
+        (Topo.Harness.specialized harness);
+      let hw = Hw.Model.realistic () in
+      let stations =
+        List.map
+          (fun (n : Topo.Graph.node) ->
+            let entry = Nf.Registry.of_spec n.Topo.Graph.spec in
+            ( n.Topo.Graph.name,
+              ( entry.Nf.Registry.program,
+                Exec.Meter.create hw,
+                entry.Nf.Registry.setup (Dslib.Layout.allocator ()) ) ))
+          g.Topo.Graph.nodes
+      in
+      let stream = b.Topo.Builtin.workload ~packets:384 in
+      let span =
+        match (stream, List.rev stream) with
+        | first :: _, last :: _ ->
+            last.Workload.Stream.now - first.Workload.Stream.now + 1000
+        | _ -> 0
+      in
+      for pass = 0 to 1 do
+        List.iteri
+          (fun i { Workload.Stream.packet; now; in_port } ->
+            let now = now + (pass * span) in
+            let ctx =
+              Printf.sprintf "%s pass %d packet %d" g.Topo.Graph.name pass i
+            in
+            let p_spec = Net.Packet.copy packet
+            and p_ref = Net.Packet.copy packet in
+            let tr = Topo.Harness.transit harness ~in_port ~now p_spec in
+            let hops, egress =
+              reference_transit ~hw stations g ~in_port ~now p_ref
+            in
+            check_bool (ctx ^ " hops") true (tr.Topo.Harness.hops = hops);
+            check_bool (ctx ^ " egress") true (tr.Topo.Harness.egress = egress);
+            check_bool (ctx ^ " bytes") true
+              (Bytes.equal (Net.Packet.to_bytes p_spec)
+                 (Net.Packet.to_bytes p_ref)))
+          stream
+      done)
+    (Topo.Builtin.all ())
+
 (* ---- Fallbacks -------------------------------------------------------- *)
 
 (* [bind] must decline to specialize — and still execute exactly —
    whenever its charging discipline cannot reproduce what the
-   configuration demands: a tracing meter (per-event stream), a model
-   that couples memory pricing to instruction counts, or analysis
-   mode. *)
+   configuration demands: a tracing meter (per-event stream), analysis
+   mode, or a call site without a fast path. *)
 let test_fallback_tracing () =
   let entry = Nf.Registry.find "firewall" in
   let meter = Exec.Meter.create ~trace:true (Hw.Model.null ()) in
   let sp, _ = Nf.Registry.specialize entry ~meter in
   check_bool "tracing meter falls back" false (Exec.Specialize.specialized sp)
-
-let test_fallback_coupled_mem () =
-  let entry = Nf.Registry.find "firewall" in
-  let meter = Exec.Meter.create (Hw.Model.realistic ()) in
-  let sp, _ = Nf.Registry.specialize entry ~meter in
-  check_bool "coupled-memory model falls back" false
-    (Exec.Specialize.specialized sp)
 
 let test_fallback_analysis_mode () =
   let program =
@@ -533,10 +847,20 @@ let test_fallback_analysis_mode () =
   in
   check_bool "analysis run equal" true (run `Interp = run `Specialized)
 
-(* Fallback streams still agree over a whole stateful replay. *)
+(* Fallback streams — NFs with a call site no fast path covers — still
+   agree over a whole stateful replay. *)
 let test_fallback_parity () =
-  check_parity ~packets:120 ~model:Hw.Model.realistic ~mname:"realistic"
-    "firewall"
+  let fallbacks =
+    List.filter
+      (fun e -> not (specializes Hw.Model.realistic e))
+      (Nf.Registry.all ())
+  in
+  check_bool "some registry NF still falls back" true (fallbacks <> []);
+  List.iter
+    (fun (e : Nf.Registry.entry) ->
+      check_parity ~packets:120 ~hw:realistic ~mname:"realistic"
+        e.Nf.Registry.name)
+    fallbacks
 
 let suite =
   [
@@ -554,8 +878,14 @@ let suite =
     Alcotest.test_case "zero minor words per packet" `Quick test_zero_alloc;
     Alcotest.test_case "stuck message parity" `Quick test_stuck_parity;
     Alcotest.test_case "tracing meter falls back" `Quick test_fallback_tracing;
-    Alcotest.test_case "coupled-memory model falls back" `Quick
-      test_fallback_coupled_mem;
+    Alcotest.test_case "coupled-memory model specializes" `Quick
+      test_coupled_specializes;
+    Alcotest.test_case "coupled model sees interpreter access order" `Quick
+      test_coupled_access_order;
+    Alcotest.test_case "dslib fast paths match their metered twins" `Quick
+      test_fast_path_twins;
+    Alcotest.test_case "topology transits match the interpreter" `Quick
+      test_topology_parity;
     Alcotest.test_case "analysis mode falls back" `Quick
       test_fallback_analysis_mode;
     Alcotest.test_case "fallback stream parity" `Quick test_fallback_parity;
