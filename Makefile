@@ -54,6 +54,13 @@ lint:
 	  echo "      int-keyed Hashtbl.Make:"; \
 	  echo "$$hits"; exit 1; \
 	fi
+	@hits=$$(grep -nE "IM\.|Linexpr\.(sub|range)|Hashtbl\." lib/solver/solve.ml || true); \
+	if [ -n "$$hits" ]; then \
+	  echo "lint: the solver kernel runs on every search node and must stay on"; \
+	  echo "      its compiled int rows and int-array store (no map store, no"; \
+	  echo "      per-term Linexpr rebuilds, no polymorphic Hashtbl):"; \
+	  echo "$$hits"; exit 1; \
+	fi
 	@hits=$$(grep -rn "Interp\.run\|Ds\.find\|\.Ds\.call" lib/dataplane --include='*.ml' || true); \
 	if [ -n "$$hits" ]; then \
 	  echo "lint: the sharded dataplane's per-packet paths must stay on the"; \

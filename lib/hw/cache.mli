@@ -1,9 +1,9 @@
 (** Set-associative LRU cache simulator.
 
-    Used twice: as the cold, per-path L1D of BOLT's conservative hardware
-    model (an access is "provably L1" only if an earlier access on the same
-    path brought the line in and it was not evicted), and as the warm
-    L1/L2/L3 hierarchy of the realistic model. *)
+    The warm L1/L2/L3 hierarchy and DTLB of the realistic model.  The
+    conservative model's cold, per-path L1D ({!Conservative}) follows the
+    same geometry and LRU rule as {!l1d}, in a lazily allocated form of
+    its own. *)
 
 type t
 

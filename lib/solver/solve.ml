@@ -12,133 +12,224 @@ let fdiv a b =
 
 let cdiv a b = -fdiv (-a) b
 
-module IM = Map.Make (Int)
+(* A conjunct compiled once into flat rows.  Symbols are numbered densely
+   in id order.  Row [r] stands for [row_const.(r) + sum c*x <= 0] over
+   the terms [row_start.(r) .. row_start.(r + 1) - 1], each a symbol index
+   in [term_sym] and a coefficient in [term_coef], in the expression's
+   term order.  [Le lin] is one row; [Eqz lin] is two consecutive rows,
+   [lin] then [-lin]; [atom_row.(a)] is atom [a]'s first row.
+   [sym_rows.(i)] lists the rows that mention symbol [i]. *)
+type kernel = {
+  syms : Sym.t array;
+  row_const : int array;
+  row_start : int array;
+  term_sym : int array;
+  term_coef : int array;
+  atom_row : int array;
+  atom_eqz : bool array;
+  sym_rows : int array array;
+}
 
-(* Interval store: symbol id -> (symbol, lo, hi). *)
-type store = (Sym.t * int * int) IM.t
-
-let store_of_syms syms : store =
-  List.fold_left
-    (fun acc s ->
-      let lo, hi = Sym.bounds s in
-      IM.add (Sym.id s) (s, lo, hi) acc)
-    IM.empty syms
-
-let store_bounds store s =
-  match IM.find_opt (Sym.id s) store with
-  | Some (_, lo, hi) -> (lo, hi)
-  | None -> Sym.bounds s
-
-exception Empty
-
-(* Tighten symbol [s] to [lo, hi] intersected with its current interval. *)
-let tighten store s lo hi =
-  let clo, chi = store_bounds store s in
-  let nlo = max lo clo and nhi = min hi chi in
-  if nlo > nhi then raise Empty;
-  if nlo = clo && nhi = chi then (store, false)
-  else (IM.add (Sym.id s) (s, nlo, nhi) store, true)
-
-(* Propagate [lin <= 0] through the store once. *)
-let propagate_le store lin =
-  let range = Linexpr.range (store_bounds store) lin in
-  if fst range > 0 then raise Empty;
-  List.fold_left
-    (fun (store, changed) (s, c) ->
-      (* c*s <= -(min of the rest)  where rest = lin - c*s *)
-      let rest = Linexpr.sub lin (Linexpr.scale c (Linexpr.sym s)) in
-      let rest_min, _ = Linexpr.range (store_bounds store) rest in
-      let store, ch =
-        if c > 0 then
-          let bound = fdiv (-rest_min) c in
-          tighten store s min_int bound
-        else
-          let bound = cdiv (-rest_min) c in
-          tighten store s bound max_int
-      in
-      (store, changed || ch))
-    (store, false) (Linexpr.terms lin)
-
-let propagate_atom store = function
-  | Constr.Le lin -> propagate_le store lin
-  | Constr.Eqz lin ->
-      let store, c1 = propagate_le store lin in
-      let store, c2 = propagate_le store (Linexpr.neg lin) in
-      (store, c1 || c2)
-
-let propagate_fixpoint atoms store =
-  let rec loop store rounds =
-    if rounds = 0 then store
-    else
-      let store, changed =
-        List.fold_left
-          (fun (store, changed) atom ->
-            let store, ch = propagate_atom store atom in
-            (store, changed || ch))
-          (store, false) atoms
-      in
-      if changed then loop store (rounds - 1) else store
+(* Index of symbol id [id] in the sorted [ids]. *)
+let index_of (ids : int array) (id : int) =
+  let rec go lo hi =
+    let mid = (lo + hi) / 2 in
+    let v = ids.(mid) in
+    if v = id then mid else if v < id then go (mid + 1) hi else go lo (mid - 1)
   in
-  loop store 200
+  go 0 (Array.length ids - 1)
 
-let atom_sat assign = function
-  | Constr.Le lin -> Linexpr.eval assign lin <= 0
-  | Constr.Eqz lin -> Linexpr.eval assign lin = 0
-
-let model_of_store store =
-  IM.fold (fun _ (s, lo, _) m -> Model.add s lo m) store Model.empty
-
-(* Branch-and-prune over a single conjunct of atoms. *)
-let solve_conjunct ~max_nodes atoms =
+let compile atoms =
   let syms =
     List.concat_map
       (function Constr.Le l | Constr.Eqz l -> Linexpr.syms l)
       atoms
-    |> List.sort_uniq Sym.compare
+    |> List.sort_uniq Sym.compare |> Array.of_list
   in
+  let ids = Array.map Sym.id syms in
+  let rows =
+    Array.of_list
+      (List.concat_map
+         (function
+           | Constr.Le l -> [ l ] | Constr.Eqz l -> [ l; Linexpr.neg l ])
+         atoms)
+  in
+  let nrows = Array.length rows in
+  let row_start = Array.make (nrows + 1) 0 in
+  Array.iteri
+    (fun r l ->
+      row_start.(r + 1) <- row_start.(r) + List.length (Linexpr.terms l))
+    rows;
+  let term_sym = Array.make row_start.(nrows) 0 in
+  let term_coef = Array.make row_start.(nrows) 0 in
+  Array.iteri
+    (fun r l ->
+      List.iteri
+        (fun j (s, c) ->
+          term_sym.(row_start.(r) + j) <- index_of ids (Sym.id s);
+          term_coef.(row_start.(r) + j) <- c)
+        (Linexpr.terms l))
+    rows;
+  let occurs = Array.make (Array.length syms) [] in
+  for r = nrows - 1 downto 0 do
+    for t = row_start.(r) to row_start.(r + 1) - 1 do
+      occurs.(term_sym.(t)) <- r :: occurs.(term_sym.(t))
+    done
+  done;
+  let atom_eqz =
+    Array.of_list
+      (List.map (function Constr.Le _ -> false | Constr.Eqz _ -> true) atoms)
+  in
+  let atom_row = Array.make (Array.length atom_eqz) 0 in
+  for a = 1 to Array.length atom_eqz - 1 do
+    atom_row.(a) <- (atom_row.(a - 1) + if atom_eqz.(a - 1) then 2 else 1)
+  done;
+  {
+    syms;
+    row_const = Array.map Linexpr.const_part rows;
+    row_start;
+    term_sym;
+    term_coef;
+    atom_row;
+    atom_eqz;
+    sym_rows = Array.map Array.of_list occurs;
+  }
+
+exception Empty
+
+let mark_rows k dirty i =
+  let rows = k.sym_rows.(i) in
+  for j = 0 to Array.length rows - 1 do
+    dirty.(rows.(j)) <- true
+  done
+
+(* Propagate row [r] once: with [min] the row's minimum over the store,
+   each term [c*x] gets [c*x <= -(min - own contribution)].  A term
+   tightens only the bound outside its own contribution ([hi] when
+   [c > 0], [lo] when [c < 0]), so [min] holds for the whole row, and
+   [min - own] equals the re-summed minimum of the rest even when the
+   sums wrap.  Marks the rows of every symbol it moves dirty and returns
+   whether it moved any. *)
+let run_row k lo hi dirty r =
+  let first = k.row_start.(r) and last = k.row_start.(r + 1) - 1 in
+  let min = ref k.row_const.(r) in
+  for t = first to last do
+    let c = k.term_coef.(t) and i = k.term_sym.(t) in
+    min := !min + if c >= 0 then c * lo.(i) else c * hi.(i)
+  done;
+  let min = !min in
+  if min > 0 then raise Empty;
+  let changed = ref false in
+  for t = first to last do
+    let c = k.term_coef.(t) and i = k.term_sym.(t) in
+    if c > 0 then begin
+      let nhi = Int.min (fdiv (-(min - (c * lo.(i)))) c) hi.(i) in
+      if lo.(i) > nhi then raise Empty;
+      if nhi <> hi.(i) then begin
+        hi.(i) <- nhi;
+        mark_rows k dirty i;
+        changed := true
+      end
+    end
+    else begin
+      let nlo = Int.max (cdiv (-(min - (c * hi.(i)))) c) lo.(i) in
+      if nlo > hi.(i) then raise Empty;
+      if nlo <> lo.(i) then begin
+        lo.(i) <- nlo;
+        mark_rows k dirty i;
+        changed := true
+      end
+    end
+  done;
+  !changed
+
+(* Rounds over the rows in order until one changes nothing, at most 200.
+   Re-running a row on unchanged symbols moves nothing, so skipping clean
+   rows leaves every round's store, and the round count, as if every row
+   ran.  A row's own moves cannot change its result, so it is clean once
+   it has run. *)
+let propagate k lo hi dirty =
+  let nrows = Array.length k.row_const in
+  let rounds = ref 200 and changed = ref true in
+  while !changed && !rounds > 0 do
+    decr rounds;
+    changed := false;
+    for r = 0 to nrows - 1 do
+      if dirty.(r) then begin
+        if run_row k lo hi dirty r then changed := true;
+        dirty.(r) <- false
+      end
+    done
+  done
+
+(* Whether every atom holds with each symbol at its lower bound. *)
+let satisfied k lo =
+  let natoms = Array.length k.atom_row in
+  let ok = ref true and a = ref 0 in
+  while !ok && !a < natoms do
+    let r = k.atom_row.(!a) in
+    let v = ref k.row_const.(r) in
+    for t = k.row_start.(r) to k.row_start.(r + 1) - 1 do
+      v := !v + (k.term_coef.(t) * lo.(k.term_sym.(t)))
+    done;
+    ok := if k.atom_eqz.(!a) then !v = 0 else !v <= 0;
+    incr a
+  done;
+  !ok
+
+(* The widest unfixed symbol, ties to the lowest id; -1 if all fixed. *)
+let widest lo hi =
+  let best = ref (-1) in
+  for i = 0 to Array.length lo - 1 do
+    let l = lo.(i) and h = hi.(i) in
+    if l <> h then
+      if !best < 0 || hi.(!best) - lo.(!best) < h - l then best := i
+  done;
+  !best
+
+(* [Found lo]: every atom holds with each symbol at its bound in [lo]. *)
+type outcome = Found of int array | Dead | Gave_up
+
+(* Branch-and-prune over a single conjunct of atoms. *)
+let solve_conjunct ~max_nodes atoms =
+  let k = compile atoms in
   let nodes = ref 0 in
-  let rec search store =
+  let rec search lo hi dirty =
     incr nodes;
-    if !nodes > max_nodes then None
+    if !nodes > max_nodes then Gave_up
     else
-      match propagate_fixpoint atoms store with
-      | exception Empty -> Some None (* proven empty: prune *)
-      | store -> (
-          let model = model_of_store store in
-          let assign s = Model.value model s in
-          if List.for_all (atom_sat assign) atoms then Some (Some model)
+      match propagate k lo hi dirty with
+      | exception Empty -> Dead
+      | () ->
+          if satisfied k lo then Found lo
           else
-            (* pick the widest unfixed symbol and split its interval *)
-            let pick =
-              IM.fold
-                (fun _ (s, lo, hi) best ->
-                  if lo = hi then best
-                  else
-                    match best with
-                    | Some (_, blo, bhi) when bhi - blo >= hi - lo -> best
-                    | _ -> Some (s, lo, hi))
-                store None
-            in
-            match pick with
-            | None -> Some None (* all fixed yet unsatisfied: dead *)
-            | Some (s, lo, hi) ->
-                let mid = lo + ((hi - lo) / 2) in
-                let try_range nlo nhi =
-                  match tighten store s nlo nhi with
-                  | exception Empty -> Some None
-                  | store, _ -> search store
-                in
-                let left = try_range lo mid in
-                (match left with
-                | Some (Some m) -> Some (Some m)
-                | Some None -> try_range (mid + 1) hi
-                | None -> None))
+            (* split the widest unfixed symbol: the left half on copies,
+               the right half on this node's own store *)
+            let i = widest lo hi in
+            if i < 0 then Dead
+            else
+              let mid = lo.(i) + ((hi.(i) - lo.(i)) / 2) in
+              let lhi = Array.copy hi and ldirty = Array.copy dirty in
+              lhi.(i) <- mid;
+              mark_rows k ldirty i;
+              match search (Array.copy lo) lhi ldirty with
+              | Dead ->
+                  lo.(i) <- mid + 1;
+                  mark_rows k dirty i;
+                  search lo hi dirty
+              | result -> result
   in
+  let lo = Array.map (fun s -> fst (Sym.bounds s)) k.syms in
+  let hi = Array.map (fun s -> snd (Sym.bounds s)) k.syms in
+  let dirty = Array.make (Array.length k.row_const) true in
   let verdict =
-    match search (store_of_syms syms) with
-    | Some (Some m) -> Sat m
-    | Some None -> Unsat
-    | None -> Unknown
+    match search lo hi dirty with
+    | Found lo ->
+        let m = ref Model.empty in
+        Array.iteri (fun i s -> m := Model.add s lo.(i) !m) k.syms;
+        Sat !m
+    | Dead -> Unsat
+    | Gave_up -> Unknown
   in
   Obs.Metrics.incr c_conjuncts;
   Obs.Metrics.add c_nodes !nodes;

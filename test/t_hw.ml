@@ -415,6 +415,45 @@ let test_hot_path_alloc () =
   check_int "all L3 hits" (evens * Hw.Cost.l3_hit_cycles)
     (Hw.Realistic.cycles m - before)
 
+(* The conservative model keeps its own lazily allocated cold L1D; it must
+   price every access exactly as a [Cache.l1d] hit or miss would, over
+   addresses spanning three times the L1's capacity (so sets overflow and
+   evict) and a few negative ones (both sides raise). *)
+let prop_conservative_l1_matches_cache =
+  let l1_bytes = 32 * 1024 in
+  let addr =
+    QCheck2.Gen.(
+      frequency
+        [
+          (40, int_range 0 ((3 * l1_bytes) - 1));
+          (1, int_range (-3 * Hw.Cost.line_size) (-1));
+        ])
+  in
+  QCheck2.Test.make ~count:300
+    ~name:"conservative L1 prices accesses as Cache.l1d"
+    ~print:QCheck2.Print.(list int)
+    QCheck2.Gen.(list_size (int_range 1 600) addr)
+    (fun addrs ->
+      let m = Hw.Conservative.create () and c = Hw.Cache.l1d () in
+      List.for_all
+        (fun a ->
+          let outcome f =
+            match f () with v -> Some v | exception Invalid_argument _ -> None
+          in
+          let before = Hw.Conservative.cycles m in
+          let got =
+            outcome (fun () ->
+                Hw.Conservative.mem m ~addr:a ~write:false ~dependent:false;
+                Hw.Conservative.cycles m - before)
+          in
+          let want =
+            outcome (fun () ->
+                if Hw.Cache.access c a then Hw.Cost.l1_hit_cycles
+                else Hw.Cost.dram_cycles)
+          in
+          got = want)
+        addrs)
+
 let suite =
   [
     Alcotest.test_case "cache basics" `Quick test_cache_basic;
@@ -431,6 +470,8 @@ let suite =
     Alcotest.test_case "dtlb penalty" `Quick test_tlb_penalty;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 13 |])
       prop_cache_matches_reference;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 16 |])
+      prop_conservative_l1_matches_cache;
     Alcotest.test_case "realistic cycles pinned" `Quick test_realistic_pinned;
     Alcotest.test_case "hot path allocates nothing" `Quick test_hot_path_alloc;
   ]

@@ -358,6 +358,432 @@ let test_cache_parallel_domains () =
     got;
   check_bool "table stayed within its bound" true (Cache.size () <= 32)
 
+
+(* ---- Model-identity differential against the map-based reference ----
+
+   [Reference] is the solver's earlier decision procedure, kept here as
+   a test-only oracle: an [Int] map store, rows re-summed term by term
+   through [Linexpr], every row run every round.  The flat kernel in
+   [Solve] must return the same verdict and the same model on every
+   input, so the pipeline's witnesses do not move. *)
+module Reference = struct
+  let fdiv a b =
+    let q = a / b and r = a mod b in
+    if r <> 0 && r lxor b < 0 then q - 1 else q
+
+  let cdiv a b = -fdiv (-a) b
+
+  module IM = Map.Make (Int)
+
+  type store = (Sym.t * int * int) IM.t
+
+  let store_of_syms syms : store =
+    List.fold_left
+      (fun acc s ->
+        let lo, hi = Sym.bounds s in
+        IM.add (Sym.id s) (s, lo, hi) acc)
+      IM.empty syms
+
+  let store_bounds store s =
+    match IM.find_opt (Sym.id s) store with
+    | Some (_, lo, hi) -> (lo, hi)
+    | None -> Sym.bounds s
+
+  exception Empty
+
+  let tighten store s lo hi =
+    let clo, chi = store_bounds store s in
+    let nlo = max lo clo and nhi = min hi chi in
+    if nlo > nhi then raise Empty;
+    if nlo = clo && nhi = chi then (store, false)
+    else (IM.add (Sym.id s) (s, nlo, nhi) store, true)
+
+  let propagate_le store lin =
+    let range = Linexpr.range (store_bounds store) lin in
+    if fst range > 0 then raise Empty;
+    List.fold_left
+      (fun (store, changed) (s, c) ->
+        let rest = Linexpr.sub lin (Linexpr.scale c (Linexpr.sym s)) in
+        let rest_min, _ = Linexpr.range (store_bounds store) rest in
+        let store, ch =
+          if c > 0 then tighten store s min_int (fdiv (-rest_min) c)
+          else tighten store s (cdiv (-rest_min) c) max_int
+        in
+        (store, changed || ch))
+      (store, false) (Linexpr.terms lin)
+
+  let propagate_atom store = function
+    | Constr.Le lin -> propagate_le store lin
+    | Constr.Eqz lin ->
+        let store, c1 = propagate_le store lin in
+        let store, c2 = propagate_le store (Linexpr.neg lin) in
+        (store, c1 || c2)
+
+  let propagate_fixpoint atoms store =
+    let rec loop store rounds =
+      if rounds = 0 then store
+      else
+        let store, changed =
+          List.fold_left
+            (fun (store, changed) atom ->
+              let store, ch = propagate_atom store atom in
+              (store, changed || ch))
+            (store, false) atoms
+        in
+        if changed then loop store (rounds - 1) else store
+    in
+    loop store 200
+
+  let atom_sat assign = function
+    | Constr.Le lin -> Linexpr.eval assign lin <= 0
+    | Constr.Eqz lin -> Linexpr.eval assign lin = 0
+
+  let model_of_store store =
+    IM.fold (fun _ (s, lo, _) m -> Model.add s lo m) store Model.empty
+
+  let solve_conjunct ~max_nodes atoms =
+    let syms =
+      List.concat_map
+        (function Constr.Le l | Constr.Eqz l -> Linexpr.syms l)
+        atoms
+      |> List.sort_uniq Sym.compare
+    in
+    let nodes = ref 0 in
+    let rec search store =
+      incr nodes;
+      if !nodes > max_nodes then None
+      else
+        match propagate_fixpoint atoms store with
+        | exception Empty -> Some None
+        | store -> (
+            let model = model_of_store store in
+            let assign s = Model.value model s in
+            if List.for_all (atom_sat assign) atoms then Some (Some model)
+            else
+              let pick =
+                IM.fold
+                  (fun _ (s, lo, hi) best ->
+                    if lo = hi then best
+                    else
+                      match best with
+                      | Some (_, blo, bhi) when bhi - blo >= hi - lo -> best
+                      | _ -> Some (s, lo, hi))
+                  store None
+              in
+              match pick with
+              | None -> Some None
+              | Some (s, lo, hi) -> (
+                  let mid = lo + ((hi - lo) / 2) in
+                  let try_range nlo nhi =
+                    match tighten store s nlo nhi with
+                    | exception Empty -> Some None
+                    | store, _ -> search store
+                  in
+                  match try_range lo mid with
+                  | Some (Some m) -> Some (Some m)
+                  | Some None -> try_range (mid + 1) hi
+                  | None -> None))
+    in
+    match search (store_of_syms syms) with
+    | Some (Some m) -> Solve.Sat m
+    | Some None -> Solve.Unsat
+    | None -> Solve.Unknown
+
+  let rec dnf (f : Constr.t) : Constr.atom list Seq.t =
+    match f with
+    | Constr.True -> Seq.return []
+    | Constr.False -> Seq.empty
+    | Constr.Atom a -> Seq.return [ a ]
+    | Constr.Or parts -> Seq.concat_map dnf (List.to_seq parts)
+    | Constr.And parts ->
+        List.fold_left
+          (fun acc part ->
+            Seq.concat_map
+              (fun conj -> Seq.map (fun atoms -> conj @ atoms) (dnf part))
+              acc)
+          (Seq.return []) parts
+
+  let check ?(max_conjuncts = 4096) ?(max_nodes = 20_000) constraints =
+    match Constr.conj constraints with
+    | Constr.True -> Solve.Sat Model.empty
+    | Constr.False -> Solve.Unsat
+    | formula ->
+        let rec scan seq budget any_unknown =
+          if budget = 0 then Solve.Unknown
+          else
+            match Seq.uncons seq with
+            | None -> if any_unknown then Solve.Unknown else Solve.Unsat
+            | Some (atoms, rest) -> (
+                match solve_conjunct ~max_nodes atoms with
+                | Solve.Sat m -> Solve.Sat m
+                | Solve.Unsat -> scan rest (budget - 1) any_unknown
+                | Solve.Unknown -> scan rest (budget - 1) true)
+        in
+        scan (dnf formula) max_conjuncts false
+end
+
+(* A verdict with its model's bindings, as (id, name, value). *)
+let render = function
+  | Solve.Unsat -> "unsat"
+  | Solve.Unknown -> "unknown"
+  | Solve.Sat m ->
+      "sat "
+      ^ String.concat ","
+          (List.map
+             (fun (s, v) -> Printf.sprintf "%d:%s=%d" (Sym.id s) (Sym.name s) v)
+             (Model.bindings m))
+
+(* Random systems shaped like the engine's: 1-8 symbols with header-like
+   bounds, 1-40 constraints that mostly hold at a hidden point (so the
+   search has real work to do), [Eqz] atoms, multi-term rows and a few
+   disjunctions, under a node budget of 1-200. *)
+let gen_system =
+  let open QCheck2.Gen in
+  let* nsyms = int_range 1 8 in
+  let* kinds = list_repeat nsyms (int_range 0 3) in
+  let* seeds = list_repeat nsyms (float_bound_inclusive 1.0) in
+  let g = Sym.gen () in
+  let syms =
+    Array.of_list
+      (List.mapi
+         (fun i k ->
+           let name = Printf.sprintf "s%d" i in
+           match k with
+           | 0 -> Sym.byte g name
+           | 1 -> Sym.u16 g name
+           | 2 -> Sym.u32 g name
+           | _ -> Sym.fresh g ~lo:1000 ~hi:(1 lsl 40) name)
+         kinds)
+  in
+  (* the hidden point, one value per symbol inside its bounds *)
+  let point =
+    Array.of_list
+      (List.mapi
+         (fun i f ->
+           let lo, hi = Sym.bounds syms.(i) in
+           lo + int_of_float (f *. float_of_int (hi - lo)))
+         seeds)
+  in
+  let gen_lin =
+    let* nterms = int_range 1 (min 3 nsyms) in
+    let* terms =
+      list_repeat nterms
+        (pair (int_range 0 (nsyms - 1))
+           (oneof [ int_range (-3) (-1); int_range 1 3 ]))
+    in
+    return
+      (List.fold_left
+         (fun acc (i, c) ->
+           Linexpr.add acc (Linexpr.scale c (Linexpr.sym syms.(i))))
+         Linexpr.zero terms)
+  in
+  let at_point lin = Linexpr.eval (fun s -> point.(Sym.id s)) lin in
+  let gen_atom =
+    let* lin = gen_lin in
+    let* slack = oneof [ return 0; int_range 0 16; int_range 0 100_000 ] in
+    let* noise = int_range (-1 lsl 20) (1 lsl 20) in
+    let v = at_point lin in
+    frequency
+      [
+        (12, return (Constr.le lin (Linexpr.const (v + slack))));
+        (12, return (Constr.ge lin (Linexpr.const (v - slack))));
+        (4, return (Constr.eq lin (Linexpr.const v)));
+        (1, return (Constr.eq lin (Linexpr.const (v + (slack mod 4)))));
+        (1, return (Constr.le lin (Linexpr.const (v + noise))));
+      ]
+  in
+  let gen_constraint ~disj =
+    if disj then
+      let* a = gen_atom in
+      let* b = gen_atom in
+      oneof
+        [
+          return (Constr.disj [ a; b ]);
+          (let* lin = gen_lin in
+           return (Constr.ne lin (Linexpr.const (at_point lin))));
+        ]
+    else gen_atom
+  in
+  let* natoms = int_range 1 40 in
+  let* ndisj = int_range 0 (min 3 natoms) in
+  let* plain = list_repeat (natoms - ndisj) (gen_constraint ~disj:false) in
+  let* disjs = list_repeat ndisj (gen_constraint ~disj:true) in
+  let* order = shuffle_l (plain @ disjs) in
+  let* max_nodes = int_range 1 200 in
+  return (order, max_nodes)
+
+let print_system (cs, max_nodes) =
+  Fmt.str "max_nodes=%d@ %a" max_nodes
+    Fmt.(list ~sep:(any " &&@ ") Constr.pp)
+    cs
+
+let prop_kernel_matches_reference =
+  QCheck2.Test.make ~count:1000 ~print:print_system
+    ~name:"solver: kernel equals map-based reference (verdict and model)"
+    gen_system
+    (fun (cs, max_nodes) ->
+      let want = render (Reference.check ~max_nodes cs) in
+      let got = render (Solve.check ~max_nodes cs) in
+      if want = got then true
+      else QCheck2.Test.fail_reportf "reference: %s@.kernel:    %s" want got)
+
+(* x <= y - 1 && y <= x shrinks each bound by one per round, so over
+   [0, 300] propagation empties the store in about 150 rounds, while over
+   [0, 450] and u32 it stops at the 200-round cap and the search splits.
+   The verdict at every small node budget must match, which pins where
+   the cap falls and how the nodes are counted. *)
+let test_round_cap () =
+  List.iter
+    (fun (lo, hi) ->
+      let g = Sym.gen () in
+      let x = Sym.fresh g ~lo ~hi "x" and y = Sym.fresh g ~lo ~hi "y" in
+      let xl = Linexpr.sym x and yl = Linexpr.sym y in
+      let cycle =
+        [ Constr.le xl (Linexpr.add_const (-1) yl); Constr.le yl xl ]
+      in
+      let sum = Constr.eq (Linexpr.add xl yl) (Linexpr.const 301) in
+      List.iter
+        (fun cs ->
+          List.iter
+            (fun max_nodes ->
+              Alcotest.(check string)
+                (Printf.sprintf "[%d,%d] %d atoms, max_nodes %d" lo hi
+                   (List.length cs) max_nodes)
+                (render (Reference.check ~max_nodes cs))
+                (render (Solve.check ~max_nodes cs)))
+            [ 1; 2; 3; 4; 5; 8; 64 ])
+        [ cycle; sum :: cycle ])
+    [ (0, (1 lsl 32) - 1); (0, 300); (0, 450) ]
+
+(* Every witness the pipeline builds, pinned by digest: the concretized
+   packet bytes, in_port, now and stub values of each path of every
+   registry NF and of each route of every built-in topology.  The golden
+   contracts only see a witness through its replayed price, so a solver
+   change that picks a different witness of the same cost slips past
+   them; this digest does not. *)
+let add_witness buf ~tag ~packet ~stubs ~in_port ~now =
+  Printf.bprintf buf "%s|%s|%s|%d|%d\n" tag
+    (String.concat ""
+       (List.init (Net.Packet.length packet) (fun i ->
+            Printf.sprintf "%02x" (Net.Packet.get_u8 packet i))))
+    (String.concat "," (List.map string_of_int stubs))
+    in_port now
+
+let nf_witnesses buf =
+  List.iter
+    (fun (entry : Nf.Registry.entry) ->
+      let t =
+        Bolt.Pipeline.analyze
+          ~config:
+            Bolt.Pipeline.Config.(
+              default |> with_contracts entry.Nf.Registry.contracts
+              |> with_jobs 1)
+          entry.Nf.Registry.program
+      in
+      Printf.bprintf buf "nf %s unsolved=%d\n" entry.Nf.Registry.name
+        t.Bolt.Pipeline.unsolved;
+      List.iter
+        (fun (a : Bolt.Pipeline.path_analysis) ->
+          add_witness buf
+            ~tag:(string_of_int a.Bolt.Pipeline.path.Symbex.Path.id)
+            ~packet:a.Bolt.Pipeline.packet ~stubs:a.Bolt.Pipeline.stubs
+            ~in_port:a.Bolt.Pipeline.in_port ~now:a.Bolt.Pipeline.now)
+        t.Bolt.Pipeline.analyses)
+    (Nf.Registry.all ())
+
+(* The topology's DAG, lowered as [Topo.Analysis.run] lowers it, so each
+   route's steps keep their per-node in_port and now symbols. *)
+let dag_of_graph (g : Topo.Graph.t) =
+  let names =
+    List.map (fun (n : Topo.Graph.node) -> n.Topo.Graph.name) g.Topo.Graph.nodes
+  in
+  let index name =
+    let rec go i = function
+      | [] -> invalid_arg name
+      | n :: tl -> if n = name then i else go (i + 1) tl
+    in
+    go 0 names
+  in
+  let node (n : Topo.Graph.node) =
+    let e = Nf.Registry.of_spec n.Topo.Graph.spec in
+    {
+      Bolt.Dag.label = n.Topo.Graph.name;
+      program = e.Nf.Registry.program;
+      contracts = e.Nf.Registry.contracts;
+    }
+  in
+  let edge (e : Topo.Graph.edge) =
+    {
+      Bolt.Dag.src = index e.Topo.Graph.src;
+      sel =
+        (match e.Topo.Graph.sel with
+        | Topo.Graph.Any -> Bolt.Dag.Any
+        | Topo.Graph.Port p -> Bolt.Dag.Port p);
+      target =
+        (match e.Topo.Graph.target with
+        | Topo.Graph.Node d -> Bolt.Dag.To (index d)
+        | Topo.Graph.Exit l -> Bolt.Dag.Exit l);
+    }
+  in
+  {
+    Bolt.Dag.nodes = Array.of_list (List.map node g.Topo.Graph.nodes);
+    ingress = index g.Topo.Graph.ingress;
+    edges = List.map edge g.Topo.Graph.edges;
+  }
+
+let topo_witnesses buf =
+  List.iter
+    (fun (b : Topo.Builtin.entry) ->
+      let g = b.Topo.Builtin.graph in
+      let r =
+        Bolt.Dag.analyze ~jobs:1 ~models:Bolt.Ds_models.default (dag_of_graph g)
+      in
+      Printf.bprintf buf "topo %s routes=%d unsolved=%d\n" g.Topo.Graph.name
+        (List.length r.Bolt.Dag.routes) r.Bolt.Dag.unsolved;
+      List.iter
+        (fun (route : Bolt.Dag.route) ->
+          match Solve.check route.Bolt.Dag.constraints with
+          | Solve.Unsat | Solve.Unknown ->
+              Alcotest.fail "route lost its witness"
+          | Solve.Sat m ->
+              let input = r.Bolt.Dag.input in
+              let len = Model.value m (Symbex.Spacket.len_sym input) in
+              let packet = Net.Packet.create len in
+              List.iter
+                (fun (off, s) ->
+                  if off < len then
+                    Net.Packet.set_u8 packet off (Model.value m s land 0xff))
+                (Symbex.Spacket.known_bytes input);
+              List.iter
+                (fun (st : Bolt.Dag.step) ->
+                  let path = st.Bolt.Dag.step_path in
+                  add_witness buf
+                    ~tag:
+                      (Printf.sprintf "%d:%d" st.Bolt.Dag.step_node
+                         path.Symbex.Path.id)
+                    ~packet
+                    ~stubs:
+                      (List.map
+                         (fun c -> Model.eval m c.Symbex.Path.ret)
+                         path.Symbex.Path.calls)
+                    ~in_port:(Model.value m st.Bolt.Dag.step_in_port)
+                    ~now:(Model.value m st.Bolt.Dag.step_now))
+                route.Bolt.Dag.steps)
+        r.Bolt.Dag.routes)
+    (Topo.Builtin.all ())
+
+let test_witness_digest () =
+  let buf = Buffer.create 65536 in
+  nf_witnesses buf;
+  topo_witnesses buf;
+  let lines =
+    List.length (String.split_on_char '\n' (Buffer.contents buf)) - 1
+  in
+  check_int "witness lines" 267 lines;
+  Alcotest.(check string)
+    "witness digest" "863a2cd089ced931877c7da1b8ce0664"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     Alcotest.test_case "linexpr" `Quick test_linexpr;
@@ -376,6 +802,11 @@ let suite =
     Alcotest.test_case "model defaults" `Quick test_model_defaults;
     Alcotest.test_case "cache under parallel domains" `Quick
       test_cache_parallel_domains;
+    Alcotest.test_case "round cap" `Quick test_round_cap;
+    Alcotest.test_case "witness digest" `Slow test_witness_digest;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 16 |])
+      prop_kernel_matches_reference;
     QCheck_alcotest.to_alcotest prop_solver_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_cache_matches_solve;
   ]
