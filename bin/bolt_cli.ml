@@ -249,17 +249,15 @@ let topo_cmd name_opt list_only class_name jobs replay metric json_path =
                       (Topo.Analysis.ingress_classes t)));
               exit 1
         in
-        let cost, n = Topo.Analysis.class_cost t cls in
+        let (cost, n), per_egress = Topo.Analysis.class_breakdown t cls in
         Fmt.pr "end-to-end bound for class %s (%d compatible routes):@.%a@."
           cname n Perf.Cost_vec.pp cost;
         List.iter
-          (fun eg ->
-            let c, k = Topo.Analysis.class_egress_cost t cls eg in
-            if k > 0 then
-              Fmt.pr "@.  via %a (%d routes):  IC <= %a@." Topo.Analysis.pp_egress
-                eg k Perf.Perf_expr.pp
-                (Perf.Cost_vec.get c Perf.Metric.Instructions))
-          (Topo.Analysis.egresses t));
+          (fun (eg, (c, k)) ->
+            Fmt.pr "@.  via %a (%d routes):  IC <= %a@." Topo.Analysis.pp_egress
+              eg k Perf.Perf_expr.pp
+              (Perf.Cost_vec.get c Perf.Metric.Instructions))
+          per_egress);
     if replay > 0 then begin
       let harness = Topo.Harness.create g in
       let report =

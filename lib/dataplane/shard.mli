@@ -47,7 +47,7 @@ val with_engine : Plan.t -> (t -> 'a) -> 'a
 val replay : ?parallel:bool -> t -> Workload.Stream.t -> result array
 (** Full-fidelity replay, results in stream order.  [parallel] (default
     [false]) partitions the stream and runs each shard's slice on its
-    own domain via {!Exec.Pool.run_each}; the results are identical to
+    own parked {!Exec.Pool.Workers} domain; the results are identical to
     the serial walk by construction.  Shard state persists across calls
     ([create] a fresh engine for an independent replay). *)
 

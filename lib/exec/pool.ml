@@ -38,44 +38,15 @@ let harvest slots =
     (Array.map (function Value v -> v | Empty | Error _ -> assert false)
        slots)
 
-(* One worker per index for the worker's whole lifetime: the dataplane's
-   shard loops, where each domain drains its own queue rather than
-   stealing items.  Unlike [map] there is no clamp to the hardware
-   thread count — a 4-shard plan on a 1-core host still runs 4 domains
-   (timesharing), which is exactly what the scalability contract's
-   [max(f, 1/cores)] bottleneck term models. *)
-let run_each ~n f =
-  if n <= 0 then []
-  else begin
-    Obs.Metrics.set_max g_workers n;
-    if n = 1 then [ f 0 ]
-    else begin
-      let slots = Array.make n Empty in
-      let parent_span = Obs.Span.current () in
-      let worker i () =
-        Obs.Span.adopt parent_span @@ fun () ->
-        Obs.Span.with_ ~cat:"pool" "pool.shard_worker"
-          ~args:(fun () -> [ ("worker", string_of_int i) ])
-        @@ fun () ->
-        slots.(i) <-
-          (match f i with
-          | v -> Value v
-          | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-      in
-      let helpers =
-        List.init (n - 1) (fun i -> Domain.spawn (worker (i + 1)))
-      in
-      worker 0 ();
-      List.iter Domain.join helpers;
-      harvest slots
-    end
-  end
-
 module Workers = struct
   (* One long-lived domain per worker index, parked on a condition
      variable between jobs.  This is the steady-state shape of a sharded
      dataplane: spawning is paid once at [create], so a timed drain sees
-     only dispatch + execution, never domain start-up. *)
+     only dispatch + execution, never domain start-up.  Unlike [map]
+     there is no clamp to the hardware thread count — a 4-shard plan on
+     a 1-core host still runs 4 domains (timesharing), which is exactly
+     what the scalability contract's [max(f, 1/cores)] bottleneck term
+     models. *)
 
   type state = Idle | Job of (unit -> unit) | Stop
 
@@ -151,7 +122,7 @@ module Workers = struct
         Condition.broadcast c.cv;
         Mutex.unlock c.m)
       t.cells;
-    (* index 0 runs here, like [run_each] *)
+    (* index 0 runs here, on the calling domain *)
     let own =
       match f 0 with
       | () -> None

@@ -22,10 +22,12 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     backtrace) after all domains have joined. *)
 
 (** Long-lived worker domains for repeated fan-out over the same
-    indices — the dataplane's shard loops.  {!run_each} spawns and joins
-    its domains on every call, which is milliseconds of overhead a timed
-    drain must not see; [Workers] pays the spawn once at {!Workers.create}
-    and parks the domains on a condition variable between jobs. *)
+    indices — the dataplane's shard loops.  Spawning and joining domains
+    on every call would be milliseconds of overhead a timed drain must
+    not see; [Workers] pays the spawn once at {!Workers.create} and parks
+    the domains on a condition variable between jobs.  There is no clamp
+    to the hardware thread count: callers decide how many shards to
+    stand up. *)
 module Workers : sig
   type t
 
@@ -46,15 +48,3 @@ module Workers : sig
   val stop : t -> unit
   (** Join all worker domains.  Idempotent; {!run} is invalid after. *)
 end
-
-val run_each : n:int -> (int -> 'a) -> 'a list
-(** [run_each ~n f] is [[f 0; f 1; ...; f (n-1)]] with each call running
-    on its own domain for the whole call's lifetime — the long-lived
-    worker-loop shape of a sharded dataplane, as opposed to {!map}'s
-    one-shot work stealing.  Index 0 runs on the calling domain; indices
-    1..n-1 each get a fresh domain, so [n] bounds the parallelism
-    directly (there is no pool-size clamp — callers decide how many
-    shards to stand up, hardware threads or not).  [n <= 1] runs
-    serially with no spawns.  Results come back in index order; if
-    several indices raise, the lowest one's exception is re-raised with
-    its backtrace after all domains have joined. *)

@@ -7,12 +7,19 @@
     constants and against each other — this is complete; resource caps make
     it return [Unknown] rather than diverge on anything harder.
 
-    Each conjunct is compiled once into flat [int] rows ([Le] one row,
-    [Eqz] two) over densely numbered symbols, and the interval store is a
-    pair of [int] arrays.  Propagation re-runs only the rows whose symbols
-    moved (at most 200 rounds); the search splits the widest unfixed
-    symbol, lowest id first, and builds a {!Model.t} only for the answer.
-    The kernel keeps no global state, so it runs unchanged on pool
+    Each check compiles every atom occurrence of its formula once into
+    flat [int] rows ([Le] one row, [Eqz] two) over the formula's symbols,
+    however many DNF conjuncts it then tries.  The DNF is walked as lists
+    of atom indices, and each conjunct's kernel is assembled from the
+    precompiled rows in its own atom order, over its own symbols only
+    (renumbered densely in id order); the interval store is a pair of
+    [int] arrays.  Propagation re-runs only the rows whose symbols moved
+    (at most 200 rounds); the search splits the widest unfixed symbol of
+    the conjunct, lowest id first, and builds a {!Model.t} over the
+    conjunct's symbols only for the answer.  Verdicts and models are
+    those of compiling each conjunct alone.  The counters
+    [solver.atoms_compiled] and [solver.conjuncts] record the work.  The
+    kernel keeps no global state, so it runs unchanged on pool
     domains. *)
 
 type result = Sat of Model.t | Unsat | Unknown

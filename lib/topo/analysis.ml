@@ -130,10 +130,12 @@ let egresses t =
     (fun acc r -> if List.mem r.egress acc then acc else acc @ [ r.egress ])
     [] t.routes
 
+(* Bound and count of a set of routes. *)
+let bound routes =
+  (Cost_vec.max_upper_list (List.map (fun r -> r.cost) routes), List.length routes)
+
 let egress_cost t egress =
-  let members = List.filter (fun r -> equal_egress r.egress egress) t.routes in
-  ( Cost_vec.max_upper_list (List.map (fun r -> r.cost) members),
-    List.length members )
+  bound (List.filter (fun r -> equal_egress r.egress egress) t.routes)
 
 let ingress_classes t =
   (List.assoc t.graph.Graph.ingress t.entries).Nf.Registry.classes
@@ -166,43 +168,36 @@ let class_members t (cls : Symbex.Iclass.t) =
   let pred = cls.Symbex.Iclass.predicate t.ingress_engine in
   List.filter (route_in_class pred cls) t.routes
 
-let class_cost t cls =
-  let members = class_members t cls in
-  ( Cost_vec.max_upper_list (List.map (fun r -> r.cost) members),
-    List.length members )
+let class_cost t cls = bound (class_members t cls)
 
-let class_egress_cost t cls egress =
-  let members =
-    List.filter (fun r -> equal_egress r.egress egress) (class_members t cls)
-  in
-  ( Cost_vec.max_upper_list (List.map (fun r -> r.cost) members),
-    List.length members )
+let class_breakdown t cls =
+  let members = class_members t cls in
+  ( bound members,
+    List.filter_map
+      (fun egress ->
+        match List.filter (fun r -> equal_egress r.egress egress) members with
+        | [] -> None
+        | routes -> Some (egress, bound routes))
+      (egresses t) )
 
 let contract t =
   let entries =
     List.concat_map
       (fun (cls : Symbex.Iclass.t) ->
-        let cost, n = class_cost t cls in
-        let total =
-          Contract.entry ~class_name:cls.Symbex.Iclass.name
+        let total, per_egress = class_breakdown t cls in
+        let entry ~class_name (cost, n) =
+          Contract.entry ~class_name
             ~description:cls.Symbex.Iclass.description ~path_count:n cost
         in
-        let per_egress =
-          List.filter_map
-            (fun egress ->
-              match class_egress_cost t cls egress with
-              | _, 0 -> None
-              | cost, n ->
-                  Some
-                    (Contract.entry
-                       ~class_name:
-                         (Fmt.str "%s via %a" cls.Symbex.Iclass.name
-                            pp_egress egress)
-                       ~description:cls.Symbex.Iclass.description
-                       ~path_count:n cost))
-            (egresses t)
-        in
-        total :: per_egress)
+        entry ~class_name:cls.Symbex.Iclass.name total
+        :: List.map
+             (fun (egress, b) ->
+               entry
+                 ~class_name:
+                   (Fmt.str "%s via %a" cls.Symbex.Iclass.name pp_egress
+                      egress)
+                 b)
+             per_egress)
       (ingress_classes t)
   in
   Contract.make ~nf:t.graph.Graph.name entries

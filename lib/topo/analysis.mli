@@ -62,8 +62,13 @@ val class_cost : t -> Symbex.Iclass.t -> Perf.Cost_vec.t * int
     the class's tag requirements on the ingress path and have joint
     constraints satisfiable with the class predicate. *)
 
-val class_egress_cost :
-  t -> Symbex.Iclass.t -> egress -> Perf.Cost_vec.t * int
+val class_breakdown :
+  t ->
+  Symbex.Iclass.t ->
+  (Perf.Cost_vec.t * int) * (egress * (Perf.Cost_vec.t * int)) list
+(** [class_breakdown t cls] is {!class_cost} together with the bound and
+    member count of each egress the class reaches, in {!egresses} order,
+    from one membership pass over the routes. *)
 
 val contract : t -> Perf.Contract.t
 (** Per-(input-class, egress) end-to-end contract rows, plus one

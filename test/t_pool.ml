@@ -52,18 +52,6 @@ let test_default_jobs_env () =
       Unix.putenv "BOLT_JOBS" "many";
       check_bool "garbage ignored" true (Exec.Pool.default_jobs () >= 1))
 
-let test_run_each_order_and_exceptions () =
-  List.iter
-    (fun n ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "run_each n:%d index order" n)
-        (List.init n (fun i -> i * i))
-        (Exec.Pool.run_each ~n (fun i -> i * i)))
-    [ 0; 1; 2; 5 ];
-  match Exec.Pool.run_each ~n:4 (fun i -> if i >= 2 then raise (Boom i)) with
-  | _ -> Alcotest.fail "expected Boom"
-  | exception Boom n -> check_int "lowest index wins" 2 n
-
 let test_workers_reuse_and_stop () =
   let w = Exec.Pool.Workers.create 3 in
   Fun.protect
@@ -116,8 +104,6 @@ let suite =
     Alcotest.test_case "exception propagation" `Quick
       test_map_exception_propagation;
     Alcotest.test_case "BOLT_JOBS env" `Quick test_default_jobs_env;
-    Alcotest.test_case "run_each order and exceptions" `Quick
-      test_run_each_order_and_exceptions;
     Alcotest.test_case "persistent workers reuse and stop" `Quick
       test_workers_reuse_and_stop;
     Alcotest.test_case "explore populates solver cache" `Quick

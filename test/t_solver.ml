@@ -627,6 +627,126 @@ let prop_kernel_matches_reference =
       if want = got then true
       else QCheck2.Test.fail_reportf "reference: %s@.kernel:    %s" want got)
 
+(* Disjunction-heavy systems: 1-5 header-like symbols under 0-12 plain
+   constraints that mostly hold at a hidden point, and 0-8 [Or]/[ne]
+   constraints whose disjuncts are atoms or [And]s of atoms.  One atom
+   is shared by several disjuncts, 1-3 symbols appear only inside
+   disjuncts (with their ids interleaved among the others), and many
+   disjuncts fail at the point, so scans try several conjuncts.  A DNF
+   budget of 1-16 makes them run out of conjuncts too. *)
+let gen_disj_system =
+  let open QCheck2.Gen in
+  let* nbase = int_range 1 5 in
+  let* nonly = int_range 1 3 in
+  let n = nbase + nonly in
+  let* layout =
+    shuffle_l (List.init nbase (fun _ -> false) @ List.init nonly (fun _ -> true))
+  in
+  let* kinds = list_repeat n (int_range 0 3) in
+  let* seeds = list_repeat n (float_bound_inclusive 1.0) in
+  let g = Sym.gen () in
+  let syms =
+    Array.of_list
+      (List.mapi
+         (fun i (k, only) ->
+           let name = Printf.sprintf "%s%d" (if only then "d" else "s") i in
+           match k with
+           | 0 -> Sym.byte g name
+           | 1 -> Sym.u16 g name
+           | 2 -> Sym.u32 g name
+           | _ -> Sym.fresh g ~lo:1000 ~hi:(1 lsl 40) name)
+         (List.combine kinds layout))
+  in
+  let point =
+    Array.of_list
+      (List.mapi
+         (fun i f ->
+           let lo, hi = Sym.bounds syms.(i) in
+           lo + int_of_float (f *. float_of_int (hi - lo)))
+         seeds)
+  in
+  let base =
+    Array.of_list
+      (List.filter_map Fun.id
+         (List.mapi (fun i only -> if only then None else Some i) layout))
+  in
+  let all = Array.init n Fun.id in
+  let gen_lin pool =
+    let* nterms = int_range 1 (min 3 (Array.length pool)) in
+    let* terms =
+      list_repeat nterms
+        (pair (oneofa pool) (oneof [ int_range (-3) (-1); int_range 1 3 ]))
+    in
+    return
+      (List.fold_left
+         (fun acc (i, c) ->
+           Linexpr.add acc (Linexpr.scale c (Linexpr.sym syms.(i))))
+         Linexpr.zero terms)
+  in
+  let at_point lin = Linexpr.eval (fun s -> point.(Sym.id s)) lin in
+  (* [fail] weighs the atoms that do not hold at the point *)
+  let gen_atom ~fail pool =
+    let* lin = gen_lin pool in
+    let* slack = oneof [ return 0; int_range 0 16; int_range 0 100_000 ] in
+    let v = at_point lin in
+    frequency
+      [
+        (6, return (Constr.le lin (Linexpr.const (v + slack))));
+        (6, return (Constr.ge lin (Linexpr.const (v - slack))));
+        (2, return (Constr.eq lin (Linexpr.const v)));
+        (fail, return (Constr.le lin (Linexpr.const (v - 1 - slack))));
+        (fail, return (Constr.eq lin (Linexpr.const (v + 1 + (slack mod 4)))));
+      ]
+  in
+  let* shared = gen_atom ~fail:3 all in
+  let gen_disjunct =
+    frequency
+      [
+        (3, gen_atom ~fail:3 all);
+        ( 2,
+          let* k = int_range 2 3 in
+          let* parts = list_repeat k (gen_atom ~fail:3 all) in
+          return (Constr.conj parts) );
+        ( 2,
+          let* other = gen_atom ~fail:3 all in
+          return (Constr.conj [ shared; other ]) );
+      ]
+  in
+  let gen_or =
+    frequency
+      [
+        ( 1,
+          let* lin = gen_lin all in
+          let* d = oneof [ return 0; int_range 0 3 ] in
+          return (Constr.ne lin (Linexpr.const (at_point lin + d))) );
+        ( 4,
+          let* k = int_range 2 3 in
+          let* ds = list_repeat k gen_disjunct in
+          return (Constr.disj ds) );
+      ]
+  in
+  let* nplain = int_range 0 12 in
+  let* plain = list_repeat nplain (gen_atom ~fail:0 base) in
+  let* nor = int_range 0 8 in
+  let* ors = list_repeat nor gen_or in
+  let* order = shuffle_l (plain @ ors) in
+  let* max_conjuncts = int_range 1 16 in
+  let* max_nodes = int_range 1 200 in
+  return (order, max_conjuncts, max_nodes)
+
+let prop_disjunctions_match_reference =
+  QCheck2.Test.make ~count:1000
+    ~print:(fun (cs, max_conjuncts, max_nodes) ->
+      Fmt.str "max_conjuncts=%d@ %s" max_conjuncts
+        (print_system (cs, max_nodes)))
+    ~name:"solver: disjunction-heavy systems equal the reference"
+    gen_disj_system
+    (fun (cs, max_conjuncts, max_nodes) ->
+      let want = render (Reference.check ~max_conjuncts ~max_nodes cs) in
+      let got = render (Solve.check ~max_conjuncts ~max_nodes cs) in
+      if want = got then true
+      else QCheck2.Test.fail_reportf "reference: %s@.kernel:    %s" want got)
+
 (* x <= y - 1 && y <= x shrinks each bound by one per round, so over
    [0, 300] propagation empties the store in about 150 rounds, while over
    [0, 450] and u32 it stops at the 200-round cap and the search splits.
@@ -654,6 +774,37 @@ let test_round_cap () =
             [ 1; 2; 3; 4; 5; 8; 64 ])
         [ cycle; sum :: cycle ])
     [ (0, (1 lsl 32) - 1); (0, 300); (0, 450) ]
+
+(* A check compiles each atom occurrence once, however many conjuncts
+   its DNF expands to: 10 plain atoms and three binary [Or]s make 8
+   conjuncts of 13 atoms, each unsatisfiable, from 16 compiled atoms
+   (compiling per conjunct would be 104). *)
+let test_atoms_compiled_once () =
+  let g = Sym.gen () in
+  let x = Sym.fresh g ~lo:0 ~hi:100 "x" in
+  let xl = Linexpr.sym x and c = Linexpr.const in
+  let plain =
+    Constr.ge xl (c 50) :: Constr.le xl (c 40)
+    :: List.init 8 (fun i -> Constr.le xl (c (60 + i)))
+  in
+  let ors =
+    List.init 3 (fun i ->
+        let y = Linexpr.sym (Sym.fresh g ~lo:0 ~hi:100 (Printf.sprintf "y%d" i)) in
+        Constr.disj [ Constr.le y (c 10); Constr.ge y (c 20) ])
+  in
+  let conjuncts = Obs.Metrics.counter "solver.conjuncts"
+  and atoms = Obs.Metrics.counter "solver.atoms_compiled" in
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let conjuncts0 = Obs.Metrics.value conjuncts
+      and atoms0 = Obs.Metrics.value atoms in
+      Alcotest.(check string) "verdict" "unsat" (render (Solve.check (plain @ ors)));
+      check_int "conjuncts tried" 8 (Obs.Metrics.value conjuncts - conjuncts0);
+      check_int "atoms compiled" 16 (Obs.Metrics.value atoms - atoms0))
 
 (* Every witness the pipeline builds, pinned by digest: the concretized
    packet bytes, in_port, now and stub values of each path of every
@@ -803,10 +954,15 @@ let suite =
     Alcotest.test_case "cache under parallel domains" `Quick
       test_cache_parallel_domains;
     Alcotest.test_case "round cap" `Quick test_round_cap;
+    Alcotest.test_case "atoms compiled once per check" `Quick
+      test_atoms_compiled_once;
     Alcotest.test_case "witness digest" `Slow test_witness_digest;
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 16 |])
       prop_kernel_matches_reference;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 17 |])
+      prop_disjunctions_match_reference;
     QCheck_alcotest.to_alcotest prop_solver_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_cache_matches_solve;
   ]

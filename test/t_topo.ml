@@ -254,7 +254,8 @@ let test_harness_soundness () =
     (Topo.Builtin.names ())
 
 (* Every egress cost is dominated by the topology-wide worst case, and
-   class costs by their class's total. *)
+   class costs by their class's total, which the per-egress counts
+   partition. *)
 let test_egress_class_domination () =
   let t =
     Topo.Analysis.run ~jobs:1 (Topo.Builtin.find "service_chain").Topo.Builtin.graph
@@ -275,16 +276,19 @@ let test_egress_class_domination () =
     (Topo.Analysis.egresses t);
   List.iter
     (fun cls ->
-      let total, _ = Topo.Analysis.class_cost t cls in
+      let (total, n), per_egress = Topo.Analysis.class_breakdown t cls in
+      let cost, n' = Topo.Analysis.class_cost t cls in
+      check_bool "breakdown total is the class cost" true
+        (n = n' && Fmt.str "%a" Cost_vec.pp total = Fmt.str "%a" Cost_vec.pp cost);
+      check_int "each member route reaches one egress" n
+        (List.fold_left (fun acc (_, (_, k)) -> acc + k) 0 per_egress);
       List.iter
-        (fun eg ->
-          match Topo.Analysis.class_egress_cost t cls eg with
-          | _, 0 -> ()
-          | cost, _ ->
-              check_bool "class total dominates class@egress" true
-                (bind_all [ total; cost ] total Metric.Instructions
-                >= bind_all [ total; cost ] cost Metric.Instructions))
-        (Topo.Analysis.egresses t))
+        (fun (_, (cost, n)) ->
+          check_bool "class@egress has routes" true (n > 0);
+          check_bool "class total dominates class@egress" true
+            (bind_all [ total; cost ] total Metric.Instructions
+            >= bind_all [ total; cost ] cost Metric.Instructions))
+        per_egress)
     (Topo.Analysis.ingress_classes t)
 
 (* ---- Determinism under the domain pool -------------------------------- *)
