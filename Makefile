@@ -61,6 +61,13 @@ lint:
 	  echo "      per-term Linexpr rebuilds, no polymorphic Hashtbl):"; \
 	  echo "$$hits"; exit 1; \
 	fi
+	@hits=$$(grep -nE "eval_exn|Cost_vec\.eval|Perf_expr\.eval" lib/topo/harness.ml || true); \
+	if [ -n "$$hits" ]; then \
+	  echo "lint: Topo.Harness.check prices every transit and must stay on"; \
+	  echo "      its bound compiled once per call (int arrays over PCV"; \
+	  echo "      slots), not re-evaluate Perf_expr over binding lists:"; \
+	  echo "$$hits"; exit 1; \
+	fi
 	@hits=$$(grep -rn "Interp\.run\|Ds\.find\|\.Ds\.call" lib/dataplane --include='*.ml' || true); \
 	if [ -n "$$hits" ]; then \
 	  echo "lint: the sharded dataplane's per-packet paths must stay on the"; \

@@ -89,9 +89,16 @@ let lookup t (s : int) (line : int) : int =
   let base = s * t.assoc in
   find_way t.tags base (base + t.fill.(s)) line
 
+(* Most hits land in the MRU way, where a fill would change nothing: the
+   way search and move-to-front run only when the MRU way holds another
+   line.  [fill] is read first, as [lookup] does, so an empty way's -1 tag
+   never matches and a negative set still raises. *)
+let is_mru t (s : int) (line : int) =
+  t.fill.(s) > 0 && Array.unsafe_get t.tags (s * t.assoc) = line
+
 let insert_line t (line : int) =
   let s = set_of t line in
-  fill_line t s (lookup t s line) line
+  if not (is_mru t s line) then fill_line t s (lookup t s line) line
 
 let remove_line t (line : int) =
   let s = set_of t line in
@@ -106,19 +113,26 @@ let remove_line t (line : int) =
     t.fill.(s) <- fill - 1
   end
 
-let access t addr =
-  let line = line_of_addr addr in
+let access_line t (line : int) =
   let s = set_of t line in
-  let i = lookup t s line in
-  fill_line t s i line;
-  if i >= 0 then begin
+  if is_mru t s line then begin
     t.hits <- t.hits + 1;
     true
   end
   else begin
-    t.misses <- t.misses + 1;
-    false
+    let i = lookup t s line in
+    fill_line t s i line;
+    if i >= 0 then begin
+      t.hits <- t.hits + 1;
+      true
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      false
+    end
   end
+
+let access t addr = access_line t (line_of_addr addr)
 
 let probe t addr =
   let line = line_of_addr addr in

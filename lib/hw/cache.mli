@@ -25,6 +25,13 @@ val access : t -> int -> bool
     returns [true] on hit.  On miss the line is filled (LRU victim
     evicted). *)
 
+val access_line : t -> int -> bool
+val insert_line : t -> int -> unit
+
+val remove_line : t -> int -> unit
+(** {!access}, {!insert} and {!remove} of a line number rather than an
+    address. *)
+
 val probe : t -> int -> bool
 (** [probe t addr] is a hit test without state change. *)
 
@@ -42,5 +49,9 @@ val remove_range : t -> base:int -> size:int -> unit
 (** [remove] every line of the [size]-byte region at [base]. *)
 
 val line_of_addr : int -> int
+
+val line_shift : int
+(** [line_of_addr addr] is [addr lsr line_shift] for [addr >= 0]. *)
+
 val stats : t -> int * int
 (** [(hits, misses)] since creation. *)

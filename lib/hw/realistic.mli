@@ -31,7 +31,13 @@ val mem : t -> addr:int -> write:bool -> dependent:bool -> unit
 val packet_boundary : t -> regions:(int * int) list -> unit
 (** A new packet arrived by DMA: evict the given [(base, size)] regions
     from L1/L2 and park them in L3 (DDIO), as NIC writes do on real
-    hardware. *)
+    hardware.  When the regions are those of the previous call, only the
+    region lines {!mem} has touched since are evicted — the others are
+    not cached in L1/L2 — at the same result. *)
+
+val probe : t -> int -> bool * bool * bool
+(** Whether the line holding the address is in L1, L2 and L3; changes no
+    state. *)
 
 val cycles : t -> int
 val instr_count : t -> int

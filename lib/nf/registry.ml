@@ -6,8 +6,6 @@
 
 type frozen = { knobs : Spec.knob list }
 
-let to_strings f = Spec.to_strings f.knobs
-
 type entry = {
   name : string;
   spec : Spec.t;

@@ -19,10 +19,6 @@ type frozen = {
 (** Frozen-config descriptor for NFs whose per-stream configuration is
     fixed (static router FIB, firewall ruleset, table geometries). *)
 
-val to_strings : frozen -> (string * string) list
-(** The historic stringly [knob → value] rendering, for printers and the
-    specialize gate. *)
-
 type entry = {
   name : string;
   spec : Spec.t;  (** the value-level description this entry was built from *)

@@ -207,6 +207,9 @@ type cache_op =
   | Remove of int
   | Insert_range of int * int
   | Remove_range of int * int
+  | Again of bool
+      (** access ([true]) or insert the address of the last [Access] or
+          [Insert] again: a hit in the MRU way *)
 
 let pp_cache_op = function
   | Access a -> Printf.sprintf "access %d" a
@@ -215,6 +218,7 @@ let pp_cache_op = function
   | Remove a -> Printf.sprintf "remove %d" a
   | Insert_range (b, n) -> Printf.sprintf "insert_range %d %d" b n
   | Remove_range (b, n) -> Printf.sprintf "remove_range %d %d" b n
+  | Again access -> if access then "access again" else "insert again"
 
 (* Addresses over three times the capacity in lines, so sets overflow; a
    few are negative, down to lines that index no set at all. *)
@@ -238,6 +242,8 @@ let cache_case_gen =
         (2, map (fun a -> Remove a) addr);
         (1, map2 (fun a n -> Insert_range (a, n)) addr (int_range (-64) 1600));
         (1, map2 (fun a n -> Remove_range (a, n)) addr (int_range (-64) 1600));
+        (* most simulated hits are MRU hits *)
+        (10, map (fun a -> Again a) (frequencyl [ (3, true); (1, false) ]));
       ]
   in
   pair (return g) (list_size (int_range 1 300) op)
@@ -259,19 +265,25 @@ let prop_cache_matches_reference =
       in
       let both f g = (outcome f, outcome g) in
       let unit f () = f (); false in
+      let last = ref 0 in
+      let access a =
+        last := a;
+        both (fun () -> Hw.Cache.access c a) (fun () -> Ref_lru.access r a)
+      and insert a =
+        last := a;
+        both
+          (unit (fun () -> Hw.Cache.insert c a))
+          (unit (fun () -> Ref_lru.insert r a))
+      in
       let step op =
         let got, want =
           match op with
-          | Access a ->
-              both
-                (fun () -> Hw.Cache.access c a)
-                (fun () -> Ref_lru.access r a)
+          | Access a -> access a
+          | Again true -> access !last
+          | Again false -> insert !last
           | Probe a ->
               both (fun () -> Hw.Cache.probe c a) (fun () -> Ref_lru.probe r a)
-          | Insert a ->
-              both
-                (unit (fun () -> Hw.Cache.insert c a))
-                (unit (fun () -> Ref_lru.insert r a))
+          | Insert a -> insert a
           | Remove a ->
               both
                 (unit (fun () -> Hw.Cache.remove c a))
@@ -413,7 +425,263 @@ let test_hot_path_alloc () =
   in
   check_int "Realistic.mem L3-hit path" 0 words;
   check_int "all L3 hits" (evens * Hw.Cost.l3_hit_cycles)
-    (Hw.Realistic.cycles m - before)
+    (Hw.Realistic.cycles m - before);
+  (* boundaries on the regions of the last one, each after a packet that
+     touched some of their lines: the Distiller's packet and RX ring *)
+  let regions = [ (base, 2048); (base + (2 * page), 256) ] in
+  let packets () =
+    for i = 0 to 255 do
+      Hw.Realistic.packet_boundary m ~regions;
+      mem (base + ((i land 31) * line));
+      mem (base + (2 * page) + ((i land 3) * line))
+    done
+  in
+  packets ();
+  check_int "Realistic.packet_boundary on repeated regions" 0
+    (minor_words packets)
+
+(* ---- DMA boundaries: tracked against the full remove/insert path ----- *)
+
+(* The realistic model as it was before boundaries tracked touched lines:
+   every boundary removes every region line from L1 and L2 and re-inserts
+   it into L3.  It shares only [Hw.Cache], which the LRU property above
+   checks on its own. *)
+module Ref_realistic = struct
+  type t = {
+    l1 : Hw.Cache.t;
+    l2 : Hw.Cache.t;
+    l3 : Hw.Cache.t;
+    dtlb : Hw.Cache.t;
+    predicted : (int, unit) Hashtbl.t;
+    mutable last_miss_line : int;
+    mutable last_miss_instr : int;
+    mutable overlap : int;
+    mutable instrs : int;
+    mutable mem_cycles : int;
+    mutable branches : int;
+  }
+
+  let create () =
+    {
+      l1 = Hw.Cache.l1d ();
+      l2 = Hw.Cache.l2 ();
+      l3 = Hw.Cache.l3 ();
+      dtlb = Hw.Cache.create ~size_bytes:(64 * 64) ~assoc:4;
+      predicted = Hashtbl.create 256;
+      last_miss_line = min_int;
+      last_miss_instr = min_int;
+      overlap = 1;
+      instrs = 0;
+      mem_cycles = 0;
+      branches = 0;
+    }
+
+  let instr t kind n =
+    t.instrs <- t.instrs + n;
+    if kind = Hw.Cost.Branch then begin
+      t.branches <- t.branches + n;
+      t.mem_cycles <-
+        t.mem_cycles + (15 * ((t.branches / 32) - ((t.branches - n) / 32)))
+    end
+
+  let packet_boundary t ~regions =
+    List.iter
+      (fun (base, size) ->
+        Hw.Cache.remove_range t.l1 ~base ~size;
+        Hw.Cache.remove_range t.l2 ~base ~size;
+        Hw.Cache.insert_range t.l3 ~base ~size)
+      regions
+
+  let mem t ~addr ~dependent =
+    if not (Hw.Cache.access t.dtlb (addr / 4096 * Hw.Cost.line_size)) then
+      t.mem_cycles <- t.mem_cycles + 7;
+    let line = Hw.Cache.line_of_addr addr in
+    let cost =
+      if Hw.Cache.access t.l1 addr then Hw.Cost.l1_hit_cycles
+      else if Hashtbl.mem t.predicted line then begin
+        Hashtbl.remove t.predicted line;
+        Hashtbl.replace t.predicted (line + 1) ();
+        Hw.Cache.insert t.l2 addr;
+        if dependent then Hw.Cost.prefetched_hit_cycles
+        else Hw.Cost.l1_hit_cycles
+      end
+      else if Hw.Cache.access t.l2 addr then Hw.Cost.l2_hit_cycles
+      else if Hw.Cache.access t.l3 addr then Hw.Cost.l3_hit_cycles
+      else begin
+        let in_burst = t.instrs - t.last_miss_instr < 48 in
+        let overlap =
+          if dependent || not in_burst then 1
+          else min Hw.Cost.mlp_max (t.overlap + 1)
+        in
+        t.overlap <- overlap;
+        t.last_miss_instr <- t.instrs;
+        Hw.Cost.dram_cycles / overlap
+      end
+    in
+    if line = t.last_miss_line + 1 then begin
+      if Hashtbl.length t.predicted > 4096 then Hashtbl.reset t.predicted;
+      Hashtbl.replace t.predicted (line + 1) ();
+      Hashtbl.replace t.predicted (line + 2) ()
+    end;
+    if cost >= Hw.Cost.l2_hit_cycles then t.last_miss_line <- line;
+    t.mem_cycles <- t.mem_cycles + cost
+
+  let cycles t = (t.instrs / Hw.Cost.ipc) + t.mem_cycles
+
+  let probe t addr =
+    ( Hw.Cache.probe t.l1 addr,
+      Hw.Cache.probe t.l2 addr,
+      Hw.Cache.probe t.l3 addr )
+end
+
+type dma_op =
+  | Instr of Hw.Cost.kind * int
+  | Touch of int * int * bool
+      (** region (index mod the packet's regions), offset from a line
+          before it, dependent *)
+  | Walk of int * int * int
+      (** a dependent sequential walk of [n] lines from a region offset:
+          it trains the prefetcher, so region lines arrive as prefetch hits *)
+  | Elsewhere of int * bool  (** an address the regions may conflict with *)
+
+(* A case: candidate region lists, and packets, each the index of its
+   region list and the accesses it makes. *)
+type dma_case = {
+  sets : (int * int) list array;
+  packets : (int * dma_op list) list;
+}
+
+let pp_dma_op =
+  let dep d = if d then " dep" else "" in
+  function
+  | Instr (k, n) -> Printf.sprintf "instr %s %d" (Hw.Cost.kind_to_string k) n
+  | Touch (r, off, d) -> Printf.sprintf "touch %d+%d%s" r off (dep d)
+  | Walk (r, off, n) -> Printf.sprintf "walk %d+%d x%d" r off n
+  | Elsewhere (a, d) -> Printf.sprintf "mem %d%s" a (dep d)
+
+let pp_dma_case c =
+  let pp_regions rs =
+    String.concat " " (List.map (fun (b, n) -> Printf.sprintf "(%d,%d)" b n) rs)
+  in
+  Printf.sprintf "sets [%s]\n%s"
+    (String.concat "; " (Array.to_list (Array.map pp_regions c.sets)))
+    (String.concat "\n"
+       (List.map
+          (fun (set, ops) ->
+            Printf.sprintf "  packet on set %d: %s" set
+              (String.concat "; " (List.map pp_dma_op ops)))
+          c.packets))
+
+let dma_case_gen =
+  let open QCheck2.Gen in
+  let region =
+    let* base =
+      frequency
+        [
+          (4, map (fun k -> 0x1000_0000 + (k * 64)) (int_range 0 64));
+          (3, map (fun k -> 0x1000_0000 + k) (int_range 0 4096));
+          (2, map (fun k -> 0x7000_0000 + (k * 16)) (int_range 0 255));
+          (* negative bases: still line 0 above -64, a negative line (which
+             no cache can index) below *)
+          (1, int_range (-63) (-1));
+          (1, int_range (-300) (-64));
+        ]
+    and* size = frequency [ (6, int_range 1 2560); (1, int_range (-70) 0) ] in
+    return (base, size)
+  in
+  let distiller =
+    [ (Exec.Interp.packet_base, 2048); (Exec.Interp.rx_ring_base, 256) ]
+  in
+  let* sets =
+    frequency
+      [
+        (2, map (fun r -> [| [ r ] |]) region);
+        (2, return [| distiller |]);
+        (3, array_size (int_range 2 3) (list_size (int_range 1 3) region));
+      ]
+  in
+  let kinds = Array.of_list Hw.Cost.all_kinds in
+  let op =
+    frequency
+      [
+        (2, map2 (fun k n -> Instr (kinds.(k), n))
+              (int_range 0 (Array.length kinds - 1)) (int_range 1 60));
+        (6, map3 (fun r off dep -> Touch (r, off, dep))
+              (int_range 0 2) (int_range 0 (1 lsl 16)) bool);
+        (2, map3 (fun r off n -> Walk (r, off, n))
+              (int_range 0 2) (int_range 0 (1 lsl 16)) (int_range 2 12));
+        (4, map2 (fun a dep -> Elsewhere (a, dep))
+              (let lines base = map (fun k -> base + (k * 64)) (int_range 0 1023) in
+               (* twice the L1, on the regions' sets, and around the
+                  regions themselves: evictions and refills *)
+               frequency [ (2, lines 0x1100_0000); (1, lines 0x0FFF_8000) ])
+              bool);
+      ]
+  in
+  let packet =
+    pair (int_range 0 (Array.length sets - 1)) (list_size (int_range 0 25) op)
+  in
+  let+ packets = list_size (int_range 1 30) packet in
+  { sets; packets }
+
+(* Every line a region list's boundary visits, and the line after each
+   region. *)
+let region_addrs regions =
+  List.concat_map
+    (fun (base, size) ->
+      let lines = max 0 ((size + Hw.Cost.line_size - 1) / Hw.Cost.line_size) in
+      List.init (lines + 1) (fun k -> base + (k * Hw.Cost.line_size)))
+    regions
+
+let prop_boundary_matches_full_path =
+  QCheck2.Test.make ~count:200
+    ~name:"tracked DMA boundary agrees with the full remove/insert path"
+    ~print:pp_dma_case dma_case_gen
+    (fun c ->
+      let m = Hw.Realistic.create () and r = Ref_realistic.create () in
+      let outcome f =
+        match f () with v -> Some v | exception Invalid_argument _ -> None
+      in
+      let same f g = outcome f = outcome g in
+      let mem addr ~dependent =
+        same
+          (fun () -> Hw.Realistic.mem m ~addr ~write:false ~dependent)
+          (fun () -> Ref_realistic.mem r ~addr ~dependent)
+      in
+      let addr_in regions ri off =
+        let base, size = List.nth regions (ri mod List.length regions) in
+        let line = Hw.Cost.line_size in
+        base - line + (off mod (max 0 size + (2 * line)))
+      in
+      let step regions = function
+        | Instr (kind, n) ->
+            Hw.Realistic.instr m kind n;
+            Ref_realistic.instr r kind n;
+            true
+        | Touch (ri, off, dependent) -> mem (addr_in regions ri off) ~dependent
+        | Walk (ri, off, n) ->
+            let a = addr_in regions ri off in
+            List.for_all
+              (fun k -> mem (a + (k * Hw.Cost.line_size)) ~dependent:true)
+              (List.init n Fun.id)
+        | Elsewhere (addr, dependent) -> mem addr ~dependent
+      in
+      let all_addrs = List.concat_map region_addrs (Array.to_list c.sets) in
+      List.for_all
+        (fun (set, ops) ->
+          let regions = c.sets.(set) in
+          same
+            (fun () -> Hw.Realistic.packet_boundary m ~regions)
+            (fun () -> Ref_realistic.packet_boundary r ~regions)
+          && List.for_all (step regions) ops
+          && Hw.Realistic.cycles m = Ref_realistic.cycles r
+          && List.for_all
+               (fun a ->
+                 same
+                   (fun () -> Hw.Realistic.probe m a)
+                   (fun () -> Ref_realistic.probe r a))
+               all_addrs)
+        c.packets)
 
 (* The conservative model keeps its own lazily allocated cold L1D; it must
    price every access exactly as a [Cache.l1d] hit or miss would, over
@@ -472,6 +740,8 @@ let suite =
       prop_cache_matches_reference;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 16 |])
       prop_conservative_l1_matches_cache;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |])
+      prop_boundary_matches_full_path;
     Alcotest.test_case "realistic cycles pinned" `Quick test_realistic_pinned;
     Alcotest.test_case "hot path allocates nothing" `Quick test_hot_path_alloc;
   ]

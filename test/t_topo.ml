@@ -253,6 +253,113 @@ let test_harness_soundness () =
       check_int (name ^ " packets replayed") 96 report.Topo.Harness.packets)
     (Topo.Builtin.names ())
 
+(* [Topo.Harness.check] before its bound was compiled: a binding list per
+   transit, evaluated with [Cost_vec.eval_exn]. *)
+let reference_check h ~worst stream =
+  let pcvs =
+    List.sort_uniq Pcv.compare
+      (Pcv.[ expired; collisions; traversals; occupancy; scan; ip_options ]
+      @ Cost_vec.pcvs worst)
+  in
+  let violations = ref [] and headroom = ref 100. in
+  List.iteri
+    (fun index (e : Workload.Stream.entry) ->
+      let tr =
+        Topo.Harness.transit h ~in_port:e.Workload.Stream.in_port
+          ~now:e.Workload.Stream.now e.Workload.Stream.packet
+      in
+      let binding =
+        List.map
+          (fun pcv ->
+            ( pcv,
+              List.fold_left
+                (fun acc (hop : Topo.Harness.hop) ->
+                  List.fold_left
+                    (fun acc (p, v) ->
+                      if Pcv.equal p pcv then max acc v else acc)
+                    acc hop.Topo.Harness.observations)
+                0 tr.Topo.Harness.hops ))
+          pcvs
+      in
+      let check_metric metric measured =
+        let bound = Cost_vec.eval_exn binding worst metric in
+        if bound < measured then
+          violations :=
+            {
+              Topo.Harness.packet_index = index;
+              metric;
+              bound;
+              measured;
+              binding;
+            }
+            :: !violations
+        else if bound > 0 then
+          headroom :=
+            Float.min !headroom
+              (100. *. float_of_int (bound - measured) /. float_of_int bound)
+      in
+      check_metric Metric.Instructions tr.Topo.Harness.ic;
+      check_metric Metric.Memory_accesses tr.Topo.Harness.ma)
+    stream;
+  {
+    Topo.Harness.packets = List.length stream;
+    violations = List.rev !violations;
+    worst_headroom_pct = !headroom;
+  }
+
+(* [worst] with every coefficient halved, so that packets violate it,
+   plus monomials of degree 2 and 3 over the observed PCVs, so that
+   exponents matter. *)
+let shrunk (worst : Cost_vec.t) =
+  let shrink p =
+    Perf_expr.add
+      (Perf_expr.of_terms
+         (List.map (fun (m, k) -> (m, k / 2)) (Perf_expr.terms p)))
+      (Perf_expr.sum
+         Pcv.[ Perf_expr.term 3 [ traversals; traversals ];
+               Perf_expr.term 2 [ collisions; collisions; traversals ];
+               Perf_expr.term 5 [ expired; expired ] ])
+  in
+  Cost_vec.make ~ic:(shrink worst.Cost_vec.ic) ~ma:(shrink worst.Cost_vec.ma)
+    ~cycles:worst.Cost_vec.cycles
+
+(* The compiled bound reports what the binding-list evaluation reported:
+   the same violations with the same bindings, and the same headroom, on
+   each built-in's own workload under its composed bound and under a
+   shrunk one that packets violate.  The workloads run long enough for
+   the NAT and the LB to see collisions and traversals of 1 and 2, at
+   one hop or at two. *)
+let test_compiled_bound_matches_reference () =
+  List.iter
+    (fun name ->
+      let entry = Topo.Builtin.find name in
+      let graph = entry.Topo.Builtin.graph in
+      let worst = Topo.Analysis.worst (Topo.Analysis.run ~jobs:1 graph) in
+      List.iter
+        (fun (what, worst, violated) ->
+          (* harnesses mutate packets: each side replays its own copy *)
+          let stream () = entry.Topo.Builtin.workload ~packets:2048 in
+          let got =
+            Topo.Harness.check (Topo.Harness.create graph) ~worst (stream ())
+          and want =
+            reference_check (Topo.Harness.create graph) ~worst (stream ())
+          in
+          let label = Printf.sprintf "%s, %s bound" name what in
+          check_bool (label ^ ": violations fire") violated
+            (want.Topo.Harness.violations <> []);
+          check_int (label ^ ": violations")
+            (List.length want.Topo.Harness.violations)
+            (List.length got.Topo.Harness.violations);
+          check_bool (label ^ ": same violations and bindings") true
+            (got.Topo.Harness.violations = want.Topo.Harness.violations);
+          check_bool (label ^ ": same headroom") true
+            (Float.equal got.Topo.Harness.worst_headroom_pct
+               want.Topo.Harness.worst_headroom_pct);
+          check_int (label ^ ": packets") want.Topo.Harness.packets
+            got.Topo.Harness.packets)
+        [ ("composed", worst, false); ("shrunk", shrunk worst, true) ])
+    (Topo.Builtin.names ())
+
 (* Every egress cost is dominated by the topology-wide worst case, and
    class costs by their class's total, which the per-egress counts
    partition. *)
@@ -330,6 +437,8 @@ let suite =
       test_branch_tighter_than_naive;
     Alcotest.test_case "measured replay within bound" `Slow
       test_harness_soundness;
+    Alcotest.test_case "compiled bound matches the binding-list check" `Slow
+      test_compiled_bound_matches_reference;
     Alcotest.test_case "egress/class domination" `Slow
       test_egress_class_domination;
     Alcotest.test_case "jobs determinism" `Slow test_jobs_deterministic;

@@ -54,7 +54,7 @@ let test_frozen_to_strings () =
       match e.Nf.Registry.frozen with
       | Some f ->
           check_strings (name ^ " entry") (frozen name)
-            (Nf.Registry.to_strings f)
+            (Spec.to_strings f.Nf.Registry.knobs)
       | None -> Alcotest.failf "%s entry lost its frozen descriptor" name)
     [ "bridge"; "nat"; "firewall"; "static_router" ];
   List.iter
