@@ -9,8 +9,11 @@ test:
 	dune runtest
 
 # What the CI lint job runs: formatting (a no-op without ocamlformat
-# installed), a warning-clean build of everything (dune emits nothing when clean), and the
-# single-walker guard — the only IR traversal lives in lib/ir.
+# installed), a warning-clean build of everything (dune emits nothing when clean), the
+# build-flags guard, and the single-walker guard — the only IR traversal lives in lib/ir.
+DEV_FLAGS := -w @1..3@5..28@30..39@43@46..47@49..57@61..62-40 -strict-sequence -strict-formats -short-paths -keep-locs
+HASH_MAP_CMX := _build/default/lib/dslib/.dslib.objs/native/dslib__Hash_map.cmx
+
 lint:
 	@if command -v ocamlformat >/dev/null 2>&1; then \
 	  ocamlformat --check $$(find lib bin test bench examples -name '*.ml' -o -name '*.mli'); \
@@ -19,6 +22,23 @@ lint:
 	fi
 	@out=$$(dune build @all 2>&1); \
 	if [ -n "$$out" ]; then echo "$$out"; echo "lint: dune build emitted warnings"; exit 1; fi
+	@flags=$$(dune printenv . | tr -s ' \n' '  ' | sed -n 's/.*(flags (\([^)]*\))).*/\1/p'); \
+	if [ "$$flags" != "$(DEV_FLAGS)" ]; then \
+	  echo "lint: the default profile must compile with dev's flags, every"; \
+	  echo "      warning an error (pin them in the root dune's env stanza):"; \
+	  echo "      want: $(DEV_FLAGS)"; echo "      got:  $$flags"; exit 1; \
+	fi
+	@if ! dune rules $(HASH_MAP_CMX) | grep -qxE ' *-inline'; then \
+	  echo "lint: library modules must compile with the raised -inline budget"; \
+	  echo "      (dune rules $(HASH_MAP_CMX))"; exit 1; \
+	fi
+	@hits=$$(dune rules -r @all | grep -xE ' *-(opaque|unsafe|noassert|O3)' | sort | uniq -c); \
+	if [ -n "$$hits" ]; then \
+	  echo "lint: the default build must inline across modules and keep bounds"; \
+	  echo "      checks and assertions (no -opaque: select the release profile"; \
+	  echo "      in dune-workspace; never -unsafe, -noassert or -O3):"; \
+	  echo "$$hits"; exit 1; \
+	fi
 	@hits=$$(grep -rn "exec_stmt" lib bin test bench examples \
 	  --include='*.ml' --include='*.mli' | grep -v '^lib/ir/' || true); \
 	if [ -n "$$hits" ]; then \

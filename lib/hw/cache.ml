@@ -1,9 +1,10 @@
 (* The hot path is flat and int-typed on purpose: every helper below is
    annotated at [int] so that tag comparison is a machine compare rather
    than polymorphic [caml_equal], a way search returns -1 instead of an
-   option, and power-of-two geometries index with shift/mask.  Dev-profile
-   builds pass [-opaque], so none of this could be left to cross-module
-   inlining. *)
+   option, and power-of-two geometries index with shift/mask.  None of
+   this is left to the optimiser: cross-module inlining (the default build
+   has it, [--profile dev] does not) turns neither a polymorphic compare
+   nor an option into a machine compare. *)
 
 type t = {
   tags : int array;

@@ -19,7 +19,8 @@
      specialized harness match an interpreter replay hop for hop;
    - zero allocation: every specializing NF allocates exactly 0 minor
      words per packet through [Exec.Specialize.exec] in steady state,
-     drop paths included;
+     drop paths included, and so does the NAT's churn write path (expire,
+     free, allocate, insert on every packet);
    - stuck parity: runtime-contract violations raise the same message as
      the interpreter (charges are equivalent, not identical — a stuck
      packet reaches no exit, so its path's pack never lands and only the
@@ -470,18 +471,34 @@ let test_control_shapes () =
 
 (* ---- Zero allocation -------------------------------------------------- *)
 
-(* Steady state through [exec]: warm one pass (tables populated, meter
-   observation buffers grown), then demand EXACTLY zero minor words per
-   packet.  The stream mixes flows with every common exit, so the guard
-   exits' own closures are held to the same bar.  The two trailing
+(* Steady state through [exec]: warm on [stream.(0 .. warm - 1)] (tables
+   populated, meter observation buffers grown), then count the minor
+   words the rest of [stream] allocates.  The two trailing
    [Gc.minor_words] reads measure the probe's own cost so it can be
    subtracted. *)
+let steady_state_words (entry : Nf.Registry.entry) stream ~warm =
+  let meter = Exec.Meter.create (Hw.Model.null ()) in
+  let sp, _ = Nf.Registry.specialize entry ~meter in
+  let run lo hi =
+    for i = lo to hi - 1 do
+      let { Workload.Stream.packet; now; in_port } = stream.(i) in
+      Exec.Meter.reset_observations meter;
+      ignore (Exec.Specialize.exec sp ~in_port ~now packet : int)
+    done
+  in
+  run 0 warm;
+  let w0 = Gc.minor_words () in
+  run warm (Array.length stream);
+  let w1 = Gc.minor_words () in
+  let w2 = Gc.minor_words () in
+  int_of_float (w1 -. w0 -. (w2 -. w1))
+
+(* Demand EXACTLY zero minor words per packet.  The stream mixes flows
+   with every common exit, so the guard exits' own closures are held to
+   the same bar. *)
 let test_zero_alloc () =
   List.iter
     (fun nf ->
-      let entry = Nf.Registry.find nf in
-      let meter = Exec.Meter.create (Hw.Model.null ()) in
-      let sp, _ = Nf.Registry.specialize entry ~meter in
       let n = 1024 in
       let flows =
         Workload.Gen.distinct_flows (Workload.Prng.create ~seed:42) 64
@@ -496,24 +513,70 @@ let test_zero_alloc () =
       let stream =
         Array.init (2 * n) (fun i ->
             let packet, in_port = base.(i mod Array.length base) in
-            (Net.Packet.copy packet, in_port, 1_000_000 + (i * 100)))
+            {
+              Workload.Stream.packet = Net.Packet.copy packet;
+              in_port;
+              now = 1_000_000 + (i * 100);
+            })
       in
-      let run lo hi =
-        for i = lo to hi - 1 do
-          let packet, in_port, now = stream.(i) in
-          Exec.Meter.reset_observations meter;
-          ignore (Exec.Specialize.exec sp ~in_port ~now packet : int)
-        done
-      in
-      run 0 n;
-      let w0 = Gc.minor_words () in
-      run n (2 * n);
-      let w1 = Gc.minor_words () in
-      let w2 = Gc.minor_words () in
-      let words = w1 -. w0 -. (w2 -. w1) in
       check_int (nf ^ " minor words over a steady-state pass") 0
-        (int_of_float words))
+        (steady_state_words (Nf.Registry.find nf) stream ~warm:n))
     specializing
+
+(* The churn write path, which the default NAT's 10 s timeout never takes
+   above: the soak's small NAT (1,024 entries, a timeout of 1,024 packets
+   of stream time, gap 100) fed a new flow on every packet, so in steady
+   state each packet expires a mapping, frees its port, allocates one and
+   inserts.  The specialized stream must match the interpreter's IC, MA
+   and PCV observations, every steady-state packet must expire exactly one
+   flow, and [exec] must allocate 0 minor words per packet. *)
+let churn_gap = 100
+
+let churn_nat () =
+  Nf.Registry.of_spec
+    (Nf.Spec.Nat
+       {
+         Nf.Nat.default_config with
+         capacity = 1024;
+         buckets = 1024;
+         timeout = 1024 * churn_gap;
+         granularity = churn_gap;
+         port_lo = 1024;
+         port_hi = 3071;
+       })
+
+let churn_stream n =
+  List.mapi
+    (fun i packet ->
+      {
+        Workload.Stream.packet;
+        now = 1_000_000 + (i * churn_gap);
+        in_port = 0;
+      })
+    (Workload.Soak.churn_packets ~offset:0 n)
+
+let test_churn_zero_alloc () =
+  let entry = churn_nat () in
+  let n = 1024 in
+  let spec =
+    compare_replays ~must_specialize:true ~hw:null ~ctx:"nat churn" entry
+      (churn_stream (3 * n))
+  in
+  List.iteri
+    (fun i side ->
+      if i >= 2 * n then
+        check_int
+          (Printf.sprintf "nat churn packet %d expires one flow" i)
+          1
+          (List.fold_left
+             (fun acc (pcv, v) ->
+               if Perf.Pcv.equal pcv Perf.Pcv.expired then acc + v else acc)
+             0 side.observations))
+    spec;
+  check_int "nat churn minor words over a steady-state pass" 0
+    (steady_state_words entry
+       (Array.of_list (churn_stream (3 * n)))
+       ~warm:(2 * n))
 
 (* ---- Stuck parity ----------------------------------------------------- *)
 
@@ -876,6 +939,8 @@ let suite =
     Alcotest.test_case "rejoining arms, loops, calls inside" `Quick
       test_control_shapes;
     Alcotest.test_case "zero minor words per packet" `Quick test_zero_alloc;
+    Alcotest.test_case "zero minor words on the NAT churn write path" `Quick
+      test_churn_zero_alloc;
     Alcotest.test_case "stuck message parity" `Quick test_stuck_parity;
     Alcotest.test_case "tracing meter falls back" `Quick test_fallback_tracing;
     Alcotest.test_case "coupled-memory model specializes" `Quick
