@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench bench-quick bench-smoke soak-smoke scale-smoke fuzz-smoke fuzz-stateful-smoke tune-smoke topo-smoke examples doc clean
+.PHONY: all build test test-one-core lint bench bench-quick bench-smoke soak-smoke scale-smoke fuzz-smoke fuzz-stateful-smoke tune-smoke topo-smoke examples doc clean
 
 all: build
 
@@ -7,6 +7,11 @@ build:
 
 test:
 	dune runtest
+
+# Tier-1 pinned to one CPU: the suite must stay deterministically green
+# on a single core, whatever the host reports.
+test-one-core:
+	taskset -c 0 dune runtest --force
 
 # What the CI lint job runs: formatting (a no-op without ocamlformat
 # installed), a warning-clean build of everything (dune emits nothing when clean), the
@@ -44,13 +49,12 @@ lint:
 	if [ -n "$$hits" ]; then \
 	  echo "lint: IR walker duplicated outside lib/ir:"; echo "$$hits"; exit 1; \
 	fi
-	@hits=$$(grep -rn "Interp\.run\|Compiled\.run" lib/distiller lib/tuner lib/topo \
+	@hits=$$(grep -rn "Interp\.run" lib/distiller lib/tuner lib/topo \
 	  lib/dataplane --include='*.ml' || true); \
 	if [ -n "$$hits" ]; then \
 	  echo "lint: Distiller, tuner, topo and dataplane per-packet paths must"; \
 	  echo "      stay on the specialized engine (Exec.Specialize), off the"; \
-	  echo "      interpreter and the generic compiled runners"; \
-	  echo "      (Compiled.run, Compiled.runner, Compiled.run_batch):"; \
+	  echo "      interpreter (Interp.run, Interp.run_batch):"; \
 	  echo "$$hits"; exit 1; \
 	fi
 	@hits=$$(grep -n "Ds\.find\|\.Ds\.call\|Meter\.instr" lib/exec/specialize.ml || true); \
@@ -106,8 +110,8 @@ bench-quick:
 # CI smoke: quick workloads through the parallel pipeline, with the
 # jobs:1 / jobs:N determinism cross-check, solver-cache stats and a
 # Chrome trace of the run (open bench_trace.json in Perfetto), then the
-# interpreted / compiled / config-specialized throughput comparison
-# (JSON artifact).  The throughput run replays the specialized engine
+# interpreted vs config-specialized throughput comparison (JSON
+# artifact).  The throughput run replays the specialized engine
 # against the interpreter before timing anything and exits non-zero on
 # any divergence, so this target doubles as a specialization parity
 # gate.
@@ -147,7 +151,7 @@ fuzz-stateful-smoke:
 
 # CI smoke for the autotuner: a small router grid (two LPM backends x
 # three route-table sizes) priced analytically, winner validated by
-# compiled replay; the JSON artifact carries the Pareto front and the
+# specialized replay; the JSON artifact carries the Pareto front and the
 # predicted-vs-measured error.
 tune-smoke:
 	dune exec bin/bolt_cli.exe -- tune trie_router --packets 128 --json BENCH_tuner.json

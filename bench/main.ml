@@ -11,7 +11,7 @@
                                               — parallel-pipeline speedup +
                                                 solver-cache hit rates
      dune exec bench/main.exe -- throughput --json BENCH_throughput.json
-                                              — interpreted vs closure-compiled
+                                              — interpreted vs specialized
                                                 packets/sec
      dune exec bench/main.exe -- soak --json BENCH_soak.json
                                               — attack-class soak: specialized
@@ -286,15 +286,14 @@ let floors () =
   section "Extension — guaranteed throughput floors (paper §6 future work)";
   Experiments.Extensions.throughput_table Fmt.stdout
 
-(* ---- Wall-clock throughput: interpreter vs compiled vs specialized ----- *)
+(* ---- Wall-clock throughput: interpreter vs specialized ---------------- *)
 
-(* The same established-flow stream replayed through [Exec.Interp],
-   [Exec.Compiled] (translated once, outside the timed region) and
-   [Exec.Specialize] (additionally frozen against the stream's
-   configuration), reporting packets/sec and ns/packet for each.  Null
-   hardware model and a fresh data-structure environment per timed run,
-   so the numbers isolate executor overhead over identical metered
-   semantics.  Every stream entry carries its own packet copy — several
+(* The same established-flow stream replayed through [Exec.Interp] and
+   [Exec.Specialize] (compiled once against the stream's configuration,
+   outside the timed region), reporting packets/sec and ns/packet for
+   each.  Null hardware model and a fresh data-structure environment
+   per timed run, so the numbers isolate executor overhead over
+   identical metered semantics.  Every stream entry carries its own packet copy — several
    NFs rewrite headers in place (TTL decrement, NAT translation), and a
    shared buffer would feed each replica its predecessor's output
    instead of fresh traffic.  Before anything is timed, the specialized
@@ -308,7 +307,7 @@ let floors () =
    minor-heap allocation, which Exec.Specialize pins at exactly 0
    words/packet. *)
 let exec_throughput () =
-  section "Throughput — interpreted vs compiled vs config-specialized";
+  section "Throughput — interpreted vs config-specialized";
   let packets = if !quick then 4_000 else 40_000 in
   let nf_names = [ "firewall"; "static_router"; "nat"; "bridge" ] in
   let stream_of ?(packets = packets) rng =
@@ -372,11 +371,6 @@ let exec_throughput () =
       | `Interp ->
           fun ~in_port ~now packet ->
             ignore (Exec.Interp.run ~meter ~mode ~in_port ~now program packet)
-      | `Compiled ->
-          let r =
-            Exec.Compiled.runner (Exec.Compiled.compile program) ~meter ~mode
-          in
-          fun ~in_port ~now packet -> ignore (r ~in_port ~now packet)
       | `Specialized ->
           let sp, _ = Nf.Registry.specialize entry ~meter in
           fun ~in_port ~now packet ->
@@ -420,33 +414,32 @@ let exec_throughput () =
     let w2 = Gc.minor_words () in
     (w1 -. w0 -. (w2 -. w1)) /. float_of_int n
   in
-  (* interleave the three engines and keep each one's best wall-clock,
-     so a slow spell on a shared machine penalizes all sides alike *)
+  (* interleave the two engines and keep each one's best wall-clock,
+     so a slow spell on a shared machine penalizes both sides alike *)
   let measure entry =
     let reps = if !quick then 3 else 5 in
-    let rec go i (bi, bc, bs) =
-      if i = 0 then (bi, bc, bs)
+    let rec go i (bi, bs) =
+      if i = 0 then (bi, bs)
       else
         let wi = time_run entry `Interp in
-        let wc = time_run entry `Compiled in
         let ws = time_run entry `Specialized in
-        go (i - 1) (Float.min bi wi, Float.min bc wc, Float.min bs ws)
+        go (i - 1) (Float.min bi wi, Float.min bs ws)
     in
-    go reps (infinity, infinity, infinity)
+    go reps (infinity, infinity)
   in
   let rows =
     List.map
       (fun name ->
         let entry = Nf.Registry.find name in
         parity_check entry;
-        let wi, wc, ws = measure entry in
+        let wi, ws = measure entry in
         let words = alloc_per_packet entry in
         let pps w = float_of_int packets /. w in
         Fmt.pr
-          "  %-14s interp %8.0f pps   compiled %8.0f pps (x%.2f)   \
-           specialized %9.0f pps (x%.2f)   alloc %.2f w/pkt@."
-          name (pps wi) (pps wc) (wi /. wc) (pps ws) (wi /. ws) words;
-        (name, wi, wc, ws, words))
+          "  %-14s interp %8.0f pps   specialized %9.0f pps (x%.2f)   \
+           alloc %.2f w/pkt@."
+          name (pps wi) (pps ws) (wi /. ws) words;
+        (name, wi, ws, words))
       nf_names
   in
   write_json ~packets
@@ -457,7 +450,7 @@ let exec_throughput () =
       ( "nfs",
         Perf.Json.List
           (List.map
-             (fun (name, wi, wc, ws, words) ->
+             (fun (name, wi, ws, words) ->
                let pps w = int_of_float (float_of_int packets /. w) in
                let ns w = int_of_float (w *. 1e9 /. float_of_int packets) in
                Perf.Json.Obj
@@ -465,10 +458,6 @@ let exec_throughput () =
                    ("nf", Perf.Json.String name);
                    ("interp_pps", Perf.Json.Int (pps wi));
                    ("interp_ns_per_packet", Perf.Json.Int (ns wi));
-                   ("compiled_pps", Perf.Json.Int (pps wc));
-                   ("compiled_ns_per_packet", Perf.Json.Int (ns wc));
-                   ( "speedup_pct",
-                     Perf.Json.Int (int_of_float (100. *. wi /. wc)) );
                    ("specialized_pps", Perf.Json.Int (pps ws));
                    ("specialized_ns_per_packet", Perf.Json.Int (ns ws));
                    ( "specialized_speedup_pct",
@@ -480,7 +469,7 @@ let exec_throughput () =
     ];
   let best =
     List.fold_left
-      (fun acc (_, wi, _, ws, _) -> Float.max acc (wi /. ws))
+      (fun acc (_, wi, ws, _) -> Float.max acc (wi /. ws))
       0. rows
   in
   Fmt.pr "@.  best speedup x%.2f (specialize once, replay millions)@." best
@@ -554,8 +543,14 @@ let soak () =
         List.init packets (fun i ->
             Net.Build.udp_of_flow flows.(i mod flood_flows))
     | "lpm_prefix" ->
-        let _, scratch =
-          Nf.Router_lpm.setup (Dslib.Layout.allocator ()) ~routes:lpm_routes
+        let _, lpm =
+          Nf.Router.setup `Dir24_8 (Dslib.Layout.allocator ())
+            ~routes:lpm_routes
+        in
+        let scratch =
+          match lpm.Dslib.Backends.Lpm.repr with
+          | Dslib.Backends.Lpm.Dir24_8 t -> t
+          | Dslib.Backends.Lpm.Trie _ -> assert false
         in
         Workload.Soak.lpm_attack_packets rng scratch ~slot:long_slot packets
     | _ -> assert false

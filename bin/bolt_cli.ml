@@ -166,7 +166,7 @@ let fuzz_cmd seed runs oracle_names stateful list_only json_path =
 
 (* Contract-guided autotuning: enumerate a deterministic grid of specs,
    price each point analytically, print the Pareto front and validate
-   the winner by compiled replay. *)
+   the winner by specialized replay. *)
 let tune_cmd nf_name backends capacities packets jobs seed json_path =
   let opt = function [] -> None | l -> Some l in
   let result =
@@ -609,7 +609,7 @@ let tune_t =
           with Distiller-harvested PCV distributions — nothing is \
           timed), print the Pareto front over predicted p50/p99 \
           cycles and memory footprint, then confirm the winner by \
-          compiled replay of the same workload")
+          specialized replay of the same workload")
     Term.(
       const tune_cmd $ nf_arg $ backends_arg $ capacities_arg $ packets_arg
       $ jobs_arg $ seed_arg $ json_arg)

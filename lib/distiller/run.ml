@@ -55,9 +55,7 @@ let run ?hw ~dss program stream =
   let model = match hw with Some m -> m | None -> Hw.Model.realistic () in
   let meter = Exec.Meter.create model in
   let engine =
-    Exec.Specialize.bind
-      (Exec.Compiled.compile program)
-      ~meter ~mode:(Exec.Interp.Production dss)
+    Exec.Specialize.bind program ~meter ~mode:(Exec.Interp.Production dss)
   in
   let dma_regions =
     [ (Exec.Interp.packet_base, 2048); (Exec.Interp.rx_ring_base, 256) ]

@@ -26,10 +26,6 @@ module Lpm = struct
     | `Dir24_8 -> Lpm_dir24_8.Recipe.contract
     | `Trie -> Lpm_trie.Recipe.contract
 
-  (* Neither LPM table exposes a sink fast path, so routers always run
-     the generic compiled body under Exec.Specialize. *)
-  let specializable (_ : choice) = false
-
   type repr = Dir24_8 of Lpm_dir24_8.t | Trie of Lpm_trie.t
   type instance = { choice : choice; ds : Exec.Ds.t; repr : repr }
 

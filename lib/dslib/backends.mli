@@ -4,10 +4,9 @@
     implementations as first-class choice values and maps a choice to
     everything an [Nf.Spec] needs: the ds [kind] a program's state
     declaration names, the contract recipe the pipeline prices against,
-    fast-path (specialization) eligibility, a constructor, and a memory
-    footprint model derived from the same layout constants the charged
-    address arithmetic uses — so an autotuner can compare backends
-    analytically, without running them. *)
+    a constructor, and a memory footprint model derived from the same
+    layout constants the charged address arithmetic uses — so an
+    autotuner can compare backends analytically, without running them. *)
 
 type lpm = [ `Dir24_8 | `Trie ]
 type alloc = [ `Dll | `Array ]
@@ -28,9 +27,6 @@ module Lpm : sig
   (** The ds kind an [Ir.Program] state declaration names. *)
 
   val contract : choice -> Perf.Ds_contract.t list
-  val specializable : choice -> bool
-  (** Whether the backend exposes sink fast paths (see
-      {!Exec.Specialize}); both LPM tables currently do not. *)
 
   type repr = Dir24_8 of Lpm_dir24_8.t | Trie of Lpm_trie.t
   type instance = { choice : choice; ds : Exec.Ds.t; repr : repr }

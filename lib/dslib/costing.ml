@@ -17,7 +17,7 @@ let charge_hash meter ~key_len =
 
 (* Sink-flavoured twins of the charge_* helpers above, for the
    specialized fast paths: instruction charges bump the sink's deferred
-   per-kind counters (flushed by the compiled runner at packet exits)
+   per-kind counters (flushed by the specialized body at packet exits)
    instead of going through the meter's per-event dispatch.  Memory
    charges still fire at the access point — addresses matter to some
    models.  Only sound on an untraced meter (the specializer guarantees

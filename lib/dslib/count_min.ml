@@ -18,49 +18,63 @@ let width t = t.width
 
 (* Row-seeded multiplicative hash with an avalanche finalizer — the
    width mask keeps only low bits, so high-bit key differences must be
-   mixed down before masking. *)
-let slot t row key =
-  let h =
-    Array.fold_left
-      (fun acc w -> ((acc * 0x9e3779b1) + w) land max_int)
-      ((row + 3) * 0x85ebca77 land max_int)
-      key
-  in
-  let h = (h lxor (h lsr 23)) * 0x2545f491 land max_int in
+   mixed down before masking.  Hashes [key.(0 .. len - 1)] in place. *)
+let slot t row (key : int array) ~len =
+  let h = ref ((row + 3) * 0x85ebca77 land max_int) in
+  for j = 0 to len - 1 do
+    h := ((!h * 0x9e3779b1) + key.(j)) land max_int
+  done;
+  let h = (!h lxor (!h lsr 23)) * 0x2545f491 land max_int in
   let h = h lxor (h lsr 29) in
   h land (t.width - 1)
 
 let counter_addr t row s = t.base + (8 * ((row * t.width) + s))
 
-(* Per row: hash (charged like the map's), one load, add, one store. *)
-let charge_row t meter row s ~write =
-  Costing.charge_hash meter ~key_len:5;
-  Costing.charge_load meter ~addr:(counter_addr t row s) ();
-  Costing.charge_alu meter 2;
-  if write then Costing.charge_store meter ~addr:(counter_addr t row s) ()
+(* The sketch is keyed by five words (a flow's identity). *)
+let key_words = 5
 
-let update t meter ~key =
+(* Per row: hash (charged like the map's), one load, add, and for an
+   update one store. *)
+let probe t meter ~key ~write =
   Costing.charge_alu meter 2;
   let est = ref max_int in
   for row = 0 to t.rows - 1 do
-    let s = slot t row key in
-    charge_row t meter row s ~write:true;
+    let s = slot t row key ~len:(Array.length key) in
+    let addr = counter_addr t row s in
+    Costing.charge_hash meter ~key_len:key_words;
+    Costing.charge_load meter ~addr ();
+    Costing.charge_alu meter 2;
+    if write then Costing.charge_store meter ~addr ();
     let i = (row * t.width) + s in
-    t.counters.(i) <- t.counters.(i) + 1;
+    if write then t.counters.(i) <- t.counters.(i) + 1;
     est := min !est t.counters.(i)
   done;
   Costing.charge_alu meter 1;
   !est
 
-let estimate t meter ~key =
-  Costing.charge_alu meter 2;
+let update t meter ~key = probe t meter ~key ~write:true
+let estimate t meter ~key = probe t meter ~key ~write:false
+
+(* Sink twin of [probe], charge for charge (see {!Hash_map} for the
+   discipline), hashing the call's first five argument words in place
+   instead of copying them out of argv. *)
+module S = Costing.Sink
+
+let fast_probe t s (args : int array) ~write =
+  S.alu s 2;
   let est = ref max_int in
   for row = 0 to t.rows - 1 do
-    let s = slot t row key in
-    charge_row t meter row s ~write:false;
-    est := min !est t.counters.((row * t.width) + s)
+    let sl = slot t row args ~len:key_words in
+    let addr = counter_addr t row sl in
+    S.hash s ~key_len:key_words;
+    S.load s ~addr ();
+    S.alu s 2;
+    if write then S.store s ~addr ();
+    let i = (row * t.width) + sl in
+    if write then t.counters.(i) <- t.counters.(i) + 1;
+    est := min !est t.counters.(i)
   done;
-  Costing.charge_alu meter 1;
+  S.alu s 1;
   !est
 
 let estimate_quiet t key =
@@ -71,13 +85,19 @@ let decay t =
 
 let to_ds t =
   let call meter meth (args : int array) =
-    let key = Array.sub args 0 5 in
+    let key = Array.sub args 0 key_words in
     match meth with
     | "update" -> update t meter ~key
     | "estimate" -> estimate t meter ~key
     | other -> invalid_arg ("count_min: unknown method " ^ other)
   in
-  Exec.Ds.make ~kind call
+  let fast_path (s : Exec.Ds.sink) meth =
+    match meth with
+    | "update" -> Some (fun args -> fast_probe t s args ~write:true)
+    | "estimate" -> Some (fun args -> fast_probe t s args ~write:false)
+    | _ -> None
+  in
+  Exec.Ds.make ~fast_path ~kind call
 
 module Recipe = struct
   open Perf

@@ -27,7 +27,8 @@ val decay : t -> unit
     as NFs do). *)
 
 val to_ds : t -> Exec.Ds.t
-(** Methods: [update(k0..k4)] and [estimate(k0..k4)] over 5-word keys. *)
+(** Methods: [update(k0..k4)] and [estimate(k0..k4)] over 5-word keys.
+    Both carry fast paths. *)
 
 val kind : string
 

@@ -24,15 +24,18 @@ let create ~base ~default_port =
     next_group = 0;
   }
 
+(* [find] with a handler rather than [find_opt]: the lookups run on the
+   zero-allocation specialized path, and an option would be allocated
+   per hit. *)
 let tbl24_get t i =
-  match Hashtbl.find_opt t.tbl24 i with
-  | Some v -> v
-  | None -> t.default_port
+  match Hashtbl.find t.tbl24 i with
+  | v -> v
+  | exception Not_found -> t.default_port
 
 let tbl8_get t i =
-  match Hashtbl.find_opt t.tbl8 i with
-  | Some v -> v
-  | None -> t.default_port
+  match Hashtbl.find t.tbl8 i with
+  | v -> v
+  | exception Not_found -> t.default_port
 
 let add_route t ~prefix ~len ~port =
   if len < 10 || len > 32 then
@@ -93,6 +96,31 @@ let lookup t meter ip =
     tbl8_get t slot8
   end
 
+(* Sink twin of [lookup], charge for charge (see {!Hash_map} for the
+   discipline): the tbl24 hit, or the tbl8 second lookup. *)
+module S = Costing.Sink
+
+let fast_lookup t s ip =
+  S.alu s 2;
+  let slot24 = ip lsr 8 in
+  S.load s ~addr:(t.base + (2 * slot24)) ();
+  S.branch s 1;
+  let entry = tbl24_get t slot24 in
+  if entry land extended_flag = 0 then begin
+    S.observe s Perf.Pcv.prefix_len 24;
+    S.alu s 1;
+    entry
+  end
+  else begin
+    let group = entry land lnot extended_flag in
+    S.alu s 3;
+    let slot8 = (group * 256) + (ip land 0xff) in
+    S.load s ~dependent:true ~addr:(t.tbl8_base + slot8) ();
+    S.alu s 1;
+    S.observe s Perf.Pcv.prefix_len 32;
+    tbl8_get t slot8
+  end
+
 let lookup_quiet t ip =
   let meter = Exec.Meter.create (Hw.Model.null ()) in
   lookup t meter ip
@@ -110,7 +138,12 @@ let to_ds t =
     | "lookup" -> lookup t meter args.(0)
     | other -> invalid_arg ("lpm: unknown method " ^ other)
   in
-  Exec.Ds.make ~kind call
+  let fast_path (s : Exec.Ds.sink) meth =
+    match meth with
+    | "lookup" -> Some (fun (args : int array) -> fast_lookup t s args.(0))
+    | _ -> None
+  in
+  Exec.Ds.make ~fast_path ~kind call
 
 module Recipe = struct
   open Perf

@@ -25,7 +25,7 @@ val footprint_bytes : t -> int
     16 MiB first tier plus 256 B per allocated second-tier group. *)
 
 val to_ds : t -> Exec.Ds.t
-(** Method: [lookup(dst_ip)]. *)
+(** Method: [lookup(dst_ip)], with a fast path. *)
 
 val kind : string
 

@@ -73,6 +73,33 @@ let lookup t meter ip =
   Exec.Meter.observe meter Perf.Pcv.prefix_len depth;
   node.port
 
+(* Sink twin of [lookup], charge for charge (see {!Hash_map} for the
+   discipline).  The walk is top-level recursion ending in
+   [fast_finish] rather than a local closure returning a (node, depth)
+   pair: either would allocate on every lookup. *)
+module S = Costing.Sink
+
+let fast_finish s node depth =
+  S.load s ~dependent:true ~addr:(node.addr + 16) ();
+  S.observe s Perf.Pcv.prefix_len depth;
+  node.port
+
+let rec fast_walk s ip node i =
+  if i >= 32 then fast_finish s node i
+  else
+    let b = bit_of ip i in
+    match node.children.(b) with
+    | Some child ->
+        S.alu s 2;
+        S.load s ~dependent:true ~addr:(node.addr + (8 * b)) ();
+        S.branch s 1;
+        fast_walk s ip child (i + 1)
+    | None -> fast_finish s node i
+
+let fast_lookup t s ip =
+  S.move s 1;
+  fast_walk s ip t.root 0
+
 let lookup_quiet t ip = lookup t (Exec.Meter.create (Hw.Model.null ())) ip
 
 (* One 64-byte line per node, root included (node addresses are
@@ -95,7 +122,12 @@ let to_ds t =
     | "lookup" -> lookup t meter args.(0)
     | other -> invalid_arg ("lpm_trie: unknown method " ^ other)
   in
-  Exec.Ds.make ~kind call
+  let fast_path (s : Exec.Ds.sink) meth =
+    match meth with
+    | "lookup" -> Some (fun (args : int array) -> fast_lookup t s args.(0))
+    | _ -> None
+  in
+  Exec.Ds.make ~fast_path ~kind call
 
 module Recipe = struct
   open Perf

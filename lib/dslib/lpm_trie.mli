@@ -24,6 +24,8 @@ val footprint_bytes : t -> int
     node per line, root included. *)
 
 val to_ds : t -> Exec.Ds.t
+(** Method: [lookup(dst_ip)], with a fast path. *)
+
 val kind : string
 
 module Recipe : sig

@@ -9,8 +9,8 @@ type sink = {
   s_counts : int array;
       (** Deferred per-kind instruction counters, indexed by
           {!Hw.Cost.kind_index} (length {!Hw.Cost.nkinds}).  A fast path
-          bumps these instead of calling [Meter.instr]; the compiled
-          runner flushes them into the model at packet exits. *)
+          bumps these instead of calling [Meter.instr]; the specialized
+          body flushes them into the model at packet exits. *)
   s_mem : addr:int -> write:bool -> dependent:bool -> unit;
       (** Memory-access charge, applied at the access point (addresses
           matter to some models).  On a model whose [mem] reads the
@@ -28,7 +28,7 @@ type sink = {
           instructions or memory through it. *)
 }
 (** The charging surface handed to a specialized fast path: the same
-    deferred-charge discipline as {!Compiled}'s fast body, exposed so a
+    deferred-charge discipline as {!Specialize}'s fast body, exposed so a
     data structure's inlined method can charge exactly what its generic
     [call] would, without the meter's per-event dispatch. *)
 

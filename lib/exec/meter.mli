@@ -44,7 +44,7 @@ val observe : t -> Perf.Pcv.t -> int -> unit
 val tracing : t -> bool
 (** Whether this meter records the event trace — clients with a cheaper
     charging discipline that cannot reproduce the per-event stream
-    (e.g. {!Compiled}'s deferred instruction accounting) must fall back
+    (e.g. {!Specialize}'s deferred instruction accounting) must fall back
     to event-faithful charging when this is set. *)
 
 val coupled_mem : t -> bool

@@ -1,6 +1,7 @@
-(* Config-specialized, allocation-free compiled execution.
+(* Config-specialized, allocation-free compiled execution — the
+   production engine.
 
-   [bind] freezes a compiled program against one stream's concrete
+   [bind] freezes a program against one stream's concrete
    configuration — its meter, its mode, its linked data-structure
    instances — and recompiles the IR into closures with every remaining
    source of per-packet overhead hoisted to bind time:
@@ -51,15 +52,15 @@
    can observe across packets — are exact: same outcomes, IC, MA,
    cycles, observations; see DESIGN §12; on a coupled model the missing
    prefix can also shift the cycles of later packets).  Packing cannot
-   reproduce a per-event stream, so [bind] falls back to
-   {!Compiled.runner} whenever the meter traces events, the mode is
-   Analysis, or any call site lacks a fast path.  One runner API, two
+   reproduce a per-event stream, so [bind] falls back to a runner over
+   {!Interp.run} whenever the meter traces events, the mode is Analysis,
+   or any call site lacks a fast path.  One runner API, two
    dispositions — callers never need to know which they got. *)
 
 open Ir
 
 (* Raised at bind time when some call site cannot be specialized; the
-   binder falls back to the generic compiled runner. *)
+   binder falls back to the interpreter. *)
 exception Not_specializable
 
 let nkinds = Hw.Cost.nkinds
@@ -1224,9 +1225,11 @@ let build program (dss : Ds.env) meter =
   in
   { specialized = true; run_fn; exec_fn; out_port_fn = (fun () -> rt.out_port) }
 
-(* The generic-runner disposition: correctness-first, never zero-alloc. *)
-let fallback ct ~meter ~mode =
-  let run_fn = Compiled.runner ct ~meter ~mode in
+(* The interpreter disposition: correctness-first, never zero-alloc. *)
+let fallback program ~meter ~mode =
+  let run_fn ?(in_port = 0) ?(now = 0) packet =
+    Interp.run ~meter ~mode ~in_port ~now program packet
+  in
   let last_port = ref 0 in
   let exec_fn ~in_port ~now packet =
     let r = run_fn ~in_port ~now packet in
@@ -1239,13 +1242,12 @@ let fallback ct ~meter ~mode =
   in
   { specialized = false; run_fn; exec_fn; out_port_fn = (fun () -> !last_port) }
 
-let bind ct ~meter ~mode =
-  if Meter.tracing meter then
-    fallback ct ~meter ~mode
+let bind program ~meter ~mode =
+  if Meter.tracing meter then fallback program ~meter ~mode
   else
     match mode with
-    | Concrete.Analysis _ -> fallback ct ~meter ~mode
+    | Concrete.Analysis _ -> fallback program ~meter ~mode
     | Concrete.Production dss -> (
-        match build (Compiled.program ct) dss meter with
+        match build program dss meter with
         | t -> t
-        | exception Not_specializable -> fallback ct ~meter ~mode)
+        | exception Not_specializable -> fallback program ~meter ~mode)

@@ -1,8 +1,9 @@
-(** Config-specialized, allocation-free compiled execution.
+(** Config-specialized, allocation-free compiled execution — the
+    production engine ({!Interp} is the reference it is checked against).
 
-    {!bind} freezes a {!Compiled} program against one stream's concrete
+    {!bind} freezes a program against one stream's concrete
     configuration — meter, mode and linked data-structure instances —
-    and recompiles it into closures with the remaining per-packet
+    and compiles it into closures with the remaining per-packet
     overhead hoisted to bind time: call sites resolve once to each
     structure's {!Ds.fast_path} (no generic dispatch, preallocated
     argv, keys read in place), each block becomes one fused closure
@@ -21,27 +22,26 @@
     memory access, exactly what the interpreter charged before it —
     chosen at bind time, at no per-packet cost to other models.
     Packing cannot reproduce a per-event stream, so [bind]
-    transparently falls back to {!Compiled.runner} whenever the meter
-    traces events, the mode is [Analysis], or any call site lacks a
-    fast path. *)
+    transparently falls back to a runner over {!Interp.run} whenever the
+    meter traces events, the mode is [Analysis], or any call site lacks
+    a fast path (every registry NF's call sites have one). *)
 
 type t
 (** A program bound to one stream's frozen configuration. *)
 
-val bind : Compiled.t -> meter:Meter.t -> mode:Interp.mode -> t
-(** Specialize [ct] against [meter] and [mode].  Falls back to the
-    generic compiled runner (see above) rather than failing — [bind]
-    never raises. *)
+val bind : Ir.Program.t -> meter:Meter.t -> mode:Interp.mode -> t
+(** Specialize a program against [meter] and [mode].  Falls back to the
+    interpreter (see above) rather than failing — [bind] never raises. *)
 
 val specialized : t -> bool
 (** [true] when the stream runs the specialized zero-allocation body,
-    [false] when it fell back to {!Compiled.runner}. *)
+    [false] when it fell back to the interpreter. *)
 
 val run : t -> ?in_port:int -> ?now:int -> Net.Packet.t -> Interp.run
 (** Full-fidelity single-packet entry point: same result record as
-    {!Interp.run}/{!Compiled.run}.  Allocates the [run] record (and, on
-    specialized streams, nothing else); use {!exec} for the
-    allocation-free hot loop. *)
+    {!Interp.run}.  Allocates the [run] record (and, on specialized
+    streams, nothing else); use {!exec} for the allocation-free hot
+    loop. *)
 
 val exec : t -> in_port:int -> now:int -> Net.Packet.t -> int
 (** Allocation-free hot path: processes one packet, returning
@@ -51,7 +51,7 @@ val exec : t -> in_port:int -> now:int -> Net.Packet.t -> int
     happens at call sites.  A [Sent] packet's output port is read with
     {!out_port}.  Raises {!Interp.Stuck} like the interpreter would
     (charges already flushed).  Fallback streams service [exec] through
-    the generic runner — correct, but not allocation-free. *)
+    the interpreter — correct, but not allocation-free. *)
 
 val out_port : t -> int
 (** Output port of the most recent {!exec} that returned

@@ -7,11 +7,11 @@ let analyze program contracts =
 
 let table1 ppf =
   Fmt.pf ppf "%a@." (Contract.pp_metric Metric.Instructions)
-    Nf.Router_trie.stylized_contract;
+    Nf.Router.stylized_contract;
   Fmt.pf ppf "%a@." (Contract.pp_metric Metric.Memory_accesses)
-    Nf.Router_trie.stylized_contract;
-  let t = analyze Nf.Router_trie.program (Nf.Router_trie.contracts ()) in
-  let full = Bolt.Pipeline.contract t ~classes:(Nf.Router_trie.classes ()) in
+    Nf.Router.stylized_contract;
+  let t = analyze (Nf.Router.program `Trie) (Nf.Router.contracts `Trie) in
+  let full = Bolt.Pipeline.contract t ~classes:(Nf.Router.classes `Trie) in
   Fmt.pf ppf
     "@.full-stack contract derived by BOLT (driver + framework included):@.";
   Fmt.pf ppf "%a@." (Contract.pp_metric Metric.Instructions) full;

@@ -44,11 +44,13 @@ let throughput_table ppf =
   List.iter
     (fun b -> Fmt.pf ppf "    %a@." Bolt.Throughput.pp b)
     (Bolt.Throughput.of_classes ~freq_hz ~batch:32 nat classes);
-  let lpm = analyze Nf.Router_lpm.program (Nf.Router_lpm.contracts ()) in
+  let lpm =
+    analyze (Nf.Router.program `Dir24_8) (Nf.Router.contracts `Dir24_8)
+  in
   Fmt.pf ppf "  LPM router, unbatched I/O:@.";
   List.iter
     (fun b -> Fmt.pf ppf "    %a@." Bolt.Throughput.pp b)
-    (Bolt.Throughput.of_classes ~freq_hz lpm (Nf.Router_lpm.classes ()));
+    (Bolt.Throughput.of_classes ~freq_hz lpm (Nf.Router.classes `Dir24_8));
   (* observed: established-flow traffic through the production NAT *)
   let rng = Workload.Prng.create ~seed:17 in
   let dss, _ = Nf.Nat.setup (Dslib.Layout.allocator ()) in
@@ -68,7 +70,6 @@ let throughput_table ppf =
   let batched_pps =
     let hw = Hw.Model.realistic () in
     let meter = Exec.Meter.create hw in
-    let compiled = Exec.Compiled.compile Nf.Nat.program in
     let rec bursts acc = function
       | [] -> acc
       | entries ->
@@ -77,8 +78,8 @@ let throughput_table ppf =
           let rest = List.filteri (fun i _ -> i >= take) entries in
           hw.Hw.Model.boundary [ (Exec.Interp.packet_base, 2048) ];
           let runs =
-            Exec.Compiled.run_batch compiled ~meter
-              ~mode:(Exec.Interp.Production dss)
+            Exec.Interp.run_batch ~meter ~mode:(Exec.Interp.Production dss)
+              Nf.Nat.program
               (List.map
                  (fun (e : Workload.Stream.entry) ->
                    ( e.Workload.Stream.packet,

@@ -357,13 +357,18 @@ let lpm_routes =
         (Net.Ipv4.addr_of_parts 100 1 i 128, 28, (i mod 4) + 1))
 
 let lpm_specs ?(params = default_params) ?jobs () =
-  let program = Nf.Router_lpm.program in
-  let pipeline = analyze_nf ?jobs program (Nf.Router_lpm.contracts ()) in
-  let classes = Nf.Router_lpm.classes () in
+  let program = Nf.Router.program `Dir24_8 in
+  let pipeline = analyze_nf ?jobs program (Nf.Router.contracts `Dir24_8) in
+  let classes = Nf.Router.classes `Dir24_8 in
   let rng = Workload.Prng.create ~seed:(params.seed + 3) in
   let make label long =
     let dss, lpm =
-      Nf.Router_lpm.setup (Dslib.Layout.allocator ()) ~routes:lpm_routes
+      Nf.Router.setup `Dir24_8 (Dslib.Layout.allocator ()) ~routes:lpm_routes
+    in
+    let lpm =
+      match lpm.Dslib.Backends.Lpm.repr with
+      | Dslib.Backends.Lpm.Dir24_8 t -> t
+      | Dslib.Backends.Lpm.Trie _ -> assert false
     in
     let packets =
       Workload.Gen.lpm_destinations rng lpm ~long params.flows

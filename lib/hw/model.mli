@@ -33,8 +33,8 @@ type t = {
           burst-window overlap detection), so a client that batches
           deferred [instr] charges must land every instruction the
           interpreter would have charged before an access ahead of that
-          access's [mem] charge — {!Exec.Compiled} flushes its counters
-          there, {!Exec.Specialize} cuts its static packs there.
+          access's [mem] charge — {!Exec.Specialize} cuts its static
+          packs there and lands its fast paths' deferred counters.
           [instr] itself is linear in its count argument in every model
           and nothing but [mem] reads the running count, so charges of
           any kinds may be merged freely between memory accesses (one

@@ -75,8 +75,8 @@ let names () = List.map (fun e -> e.name) (all ())
 
 let specialize e ~meter =
   let dss = e.setup (Dslib.Layout.allocator ()) in
-  let ct = Exec.Compiled.compile e.program in
-  (Exec.Specialize.bind ct ~meter ~mode:(Exec.Interp.Production dss), dss)
+  (Exec.Specialize.bind e.program ~meter ~mode:(Exec.Interp.Production dss),
+    dss)
 
 let find name =
   match List.find_opt (fun e -> e.name = name) (all ()) with

@@ -48,8 +48,8 @@ val find : string -> entry
     known names on a miss. *)
 
 val specialize : entry -> meter:Exec.Meter.t -> Exec.Specialize.t * Exec.Ds.env
-(** Build a production environment with a fresh allocator, compile the
-    program and bind it to [meter] via {!Exec.Specialize.bind}.  Returns
-    the bound stream (specialized when every call site has a fast path,
-    the generic compiled runner otherwise) and the environment, so
-    callers can drive the interpreter against the same state. *)
+(** Build a production environment with a fresh allocator and bind the
+    program to it and [meter] via {!Exec.Specialize.bind}.  Returns the
+    bound stream (specialized for every registry NF on an untraced
+    meter) and the environment, so callers can drive the interpreter
+    against the same state. *)

@@ -1,13 +1,12 @@
 (* One router, two LPM backends.  The backend choice is a value
    (Dslib.Backends.Lpm.choice), not a source-level pick: program text,
-   contracts and input classes are all derived from it, and the historic
+   contracts and input classes are all derived from it, and the
    `lpm_router` / `trie_router` registry names map to the two choices.
 
-   The per-backend differences are deliberate and preserved bit-exactly
-   from the pre-refactor modules: the dir-24-8 router models a production
-   forwarder (it decrements TTL and recomputes the checksum), while the
-   trie router is the paper's stylised running example (§2.1, Algorithm 1)
-   and forwards the packet untouched. *)
+   The per-backend differences are deliberate: the dir-24-8 router
+   models a production forwarder (it decrements TTL and recomputes the
+   checksum), while the trie router is the paper's stylised running
+   example (§2.1, Algorithm 1) and forwards the packet untouched. *)
 
 let instance = "lpm"
 
@@ -86,3 +85,24 @@ let classes backend =
           ~requires:[ Iclass.req instance "lookup" "ok" ]
           ();
       ]
+
+(* Paper Table 1: the trie router's stylised contract, Table 2's method
+   contract plus the stateless code's stylised costs. *)
+let stylized_contract =
+  let open Perf in
+  let lookup = Dslib.Lpm_trie.Recipe.lookup_cost in
+  let add_consts ~ic ~ma vec =
+    Cost_vec.make
+      ~ic:(Perf_expr.add_const ic (Cost_vec.get vec Metric.Instructions))
+      ~ma:(Perf_expr.add_const ma (Cost_vec.get vec Metric.Memory_accesses))
+      ~cycles:(Cost_vec.get vec Metric.Cycles)
+  in
+  Contract.make ~nf:"Simple LPM router (stylised, paper Table 1)"
+    [
+      Contract.entry ~class_name:"Invalid packets"
+        ~description:"non-IPv4: ethertype check, drop"
+        (Cost_vec.of_consts ~ic:2 ~ma:1 ~cycles:0);
+      Contract.entry ~class_name:"Valid packets"
+        ~description:"IPv4: ethertype check + lpmGet + forward"
+        (add_consts ~ic:3 ~ma:2 lookup);
+    ]

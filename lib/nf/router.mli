@@ -2,9 +2,7 @@
 
     [`Dir24_8] is the paper's production LPM (DPDK dir-24-8, classes
     LPM1/LPM2, decrements TTL); [`Trie] is the stylised running example
-    (§2.1 Algorithm 1, Patricia trie, forwards untouched).  Programs,
-    contracts and classes are bit-identical to the historic
-    [Router_lpm]/[Router_trie] modules, which remain as thin aliases. *)
+    (§2.1 Algorithm 1, Patricia trie, forwards untouched). *)
 
 val instance : string
 
@@ -25,3 +23,10 @@ val setup :
 
 val contracts : Dslib.Backends.lpm -> Perf.Ds_contract.library
 val classes : Dslib.Backends.lpm -> Symbex.Iclass.t list
+
+val stylized_contract : Perf.Contract.t
+(** Paper Table 1, the [`Trie] router's stylised contract: Table 2's
+    trie lookup contract composed with the stylised costs of the
+    stateless code (2 instructions / 1 access for the invalid path; +3
+    instructions / +2 accesses around the lookup for the valid path) —
+    the paper's convention of ignoring every layer below the NF. *)

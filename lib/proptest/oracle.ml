@@ -503,27 +503,21 @@ let concrete_symbex_agreement ?(explore = real_explore) () =
   in
   { name; run }
 
-let real_compile program = Exec.Compiled.compile program
-let real_specialize ct ~meter ~mode = Exec.Specialize.bind ct ~meter ~mode
-
-(* The closure-compiled hot path and the interpreter are two
-   implementations of one concrete semantics, so on any subject and any
-   stream they must tell bit-for-bit the same story: outcome, IC, MA,
-   cycles, PCV observations, the full traced event stream and the
-   packet bytes left behind — Stuck runs included, message for message.
-   A further leg binds the compiled program to the stream's frozen
-   configuration ({!Exec.Specialize.bind}) and replays the same stream
-   through the specialized closures on an untraced meter (tracing would
-   force the fallback and leave the fast body unexercised), comparing
-   outcome, costs, observations and packet bytes per packet — Stuck
-   packets compare by message, which is exactly the charge-equivalence
-   contract of DESIGN §12.  For stateless generated subjects a final
-   leg cross-checks the fidelity replay: symbex on the concrete input
-   yields one path, and replaying its assumed decisions must reproduce
-   the compiled run's IC/MA exactly. *)
-let compiled_interp_agreement ?(compile = real_compile)
-    ?(specialize = real_specialize) () =
-  let name = "compiled_interp_agreement" in
+(* The specialized production engine and the interpreter are two
+   implementations of one concrete semantics.  On any subject and any
+   stream, the program is bound to the stream's frozen configuration
+   ({!Exec.Specialize.bind}) and replayed on an untraced meter (tracing
+   would force the fallback and leave the fast body unexercised) against
+   the interpreter, comparing outcome, costs, observations and packet
+   bytes per packet — Stuck packets compare by message, which is exactly
+   the charge-equivalence contract of DESIGN §12.  A second leg repeats
+   this on the coupled recording model, whose access log pins the
+   instruction count at every access.  For stateless generated subjects
+   a final leg cross-checks the fidelity replay: symbex on the concrete
+   input yields one path, and replaying its assumed decisions must
+   reproduce the specialized run's IC/MA exactly. *)
+let specialized_interp_agreement ?(specialize = Exec.Specialize.bind) () =
+  let name = "specialized_interp_agreement" in
   let run ~seed =
     let rng = P.create ~seed in
     let subject = pick_subject rng in
@@ -541,38 +535,10 @@ let compiled_interp_agreement ?(compile = real_compile)
       | Registry e -> e.Nf.Registry.setup (Dslib.Layout.allocator ())
       | Generated _ -> []
     in
-    let replay engine =
-      let meter = Exec.Meter.create ~trace:true (Hw.Model.null ()) in
-      let mode = Exec.Interp.Production (fresh_dss ()) in
-      let compiled =
-        match engine with `Interp -> None | `Compiled -> Some (compile program)
-      in
-      List.map
-        (fun { Workload.Stream.packet; now; in_port } ->
-          let packet = Net.Packet.copy packet in
-          Exec.Meter.reset_observations meter;
-          let outcome =
-            match
-              match compiled with
-              | None -> Exec.Interp.run ~meter ~mode ~in_port ~now program packet
-              | Some c -> Exec.Compiled.run c ~meter ~mode ~in_port ~now packet
-            with
-            | r -> Ok r
-            | exception Exec.Interp.Stuck msg -> Error msg
-          in
-          ( outcome,
-            Exec.Meter.observations meter,
-            Exec.Meter.events meter,
-            Net.Packet.to_bytes packet ))
-        stream
-    in
-    (* specialized legs run untraced: a tracing meter makes [bind] fall
-       back to the generic runner and the fast body would go untested.
-       The [coupled] leg runs on the recording model, whose access log
-       pins the instruction count at every access — the order in which a
-       coupled body lands its charges, across the loops, rejoining arms
-       and loads inside operands that generated programs are full of. *)
-    let replay_untraced ~coupled engine =
+    (* the [coupled] leg runs on the recording model: the order in which
+       a coupled body lands its charges, across the loops, rejoining arms
+       and loads inside operands that generated programs are full of *)
+    let replay ~coupled engine =
       let recorder = Recording.create () in
       let meter =
         Exec.Meter.create
@@ -585,7 +551,7 @@ let compiled_interp_agreement ?(compile = real_compile)
             fun ~in_port ~now packet ->
               Exec.Interp.run ~meter ~mode ~in_port ~now program packet
         | `Specialized ->
-            let sp = specialize (compile program) ~meter ~mode in
+            let sp = specialize program ~meter ~mode in
             fun ~in_port ~now packet ->
               Exec.Specialize.run sp ~in_port ~now packet
       in
@@ -607,68 +573,49 @@ let compiled_interp_agreement ?(compile = real_compile)
             match outcome with Ok _ -> log | Error _ -> [] ))
         stream
     in
-    let pp_run ppf (outcome, obs) =
+    let divergence ~coupled =
+      let interp = replay ~coupled `Interp
+      and spec = replay ~coupled `Specialized in
+      List.find_index (fun (a, b) -> a <> b) (List.combine interp spec)
+      |> Option.map (fun i -> (i, List.nth interp i, List.nth spec i))
+    in
+    let pp_side ppf (outcome, obs, _bytes, log) =
       (match outcome with
       | Ok (r : Exec.Interp.run) ->
           Format.fprintf ppf "ic %d ma %d cycles %d" r.Exec.Interp.ic
             r.Exec.Interp.ma r.Exec.Interp.cycles
       | Error msg -> Format.fprintf ppf "stuck: %s" msg);
-      Format.fprintf ppf ", %d observation(s)" (List.length obs)
+      Format.fprintf ppf ", %d observation(s)" (List.length obs);
+      if log <> [] then
+        Format.fprintf ppf ", accesses [%a]"
+          Fmt.(list ~sep:(any "; ") Recording.pp_access)
+          log
     in
-    let interp = replay `Interp and compiled = replay `Compiled in
-    let disagreement =
-      List.find_index (fun (a, b) -> a <> b) (List.combine interp compiled)
-    in
-    match disagreement with
-    | Some i ->
-        let pp_side ppf (outcome, obs, _events, _bytes) =
-          pp_run ppf (outcome, obs)
-        in
+    match
+      match divergence ~coupled:false with
+      | Some d -> Some ("", d)
+      | None ->
+          Option.map
+            (fun d -> (" on a coupled model", d))
+            (divergence ~coupled:true)
+    with
+    | Some (where, (i, a, b)) ->
         fail name seed
-          "%s: compiled execution diverges from the interpreter at packet \
-           %d@.interp:   %a@.compiled: %a"
-          (subject_name subject) i pp_side (List.nth interp i) pp_side
-          (List.nth compiled i)
+          "%s: specialized execution diverges from the interpreter%s at \
+           packet %d@.interp:      %a@.specialized: %a"
+          (subject_name subject) where i pp_side a pp_side b
     | None -> (
-        let spec_divergence ~coupled =
-          let s_interp = replay_untraced ~coupled `Interp
-          and s_spec = replay_untraced ~coupled `Specialized in
-          List.find_index
-            (fun (a, b) -> a <> b)
-            (List.combine s_interp s_spec)
-          |> Option.map (fun i -> (i, List.nth s_interp i, List.nth s_spec i))
-        in
-        let pp_side ppf (outcome, obs, _bytes, log) =
-          pp_run ppf (outcome, obs);
-          if log <> [] then
-            Format.fprintf ppf ", accesses [%a]"
-              Fmt.(list ~sep:(any "; ") Recording.pp_access)
-              log
-        in
-        match
-          match spec_divergence ~coupled:false with
-          | Some d -> Some ("", d)
-          | None ->
-              Option.map
-                (fun d -> (" on a coupled model", d))
-                (spec_divergence ~coupled:true)
-        with
-        | Some (where, (i, a, b)) ->
-            fail name seed
-              "%s: specialized execution diverges from the interpreter%s at \
-               packet %d@.interp:      %a@.specialized: %a"
-              (subject_name subject) where i pp_side a pp_side b
-        | None -> (
         match (subject, stream) with
         | Generated _, { Workload.Stream.packet; now; in_port } :: _ -> (
             (* third leg: fidelity replay of the symbex path against the
-               compiled run of the same input *)
-            let compiled_run =
+               specialized run of the same input *)
+            let direct_run =
               let meter = Exec.Meter.create (Hw.Model.null ()) in
+              let sp =
+                specialize program ~meter ~mode:(Exec.Interp.Production [])
+              in
               match
-                Exec.Compiled.run (compile program) ~meter
-                  ~mode:(Exec.Interp.Production []) ~in_port ~now
-                  (Net.Packet.copy packet)
+                Exec.Specialize.run sp ~in_port ~now (Net.Packet.copy packet)
               with
               | r -> Some r
               | exception Exec.Interp.Stuck _ -> None
@@ -677,7 +624,7 @@ let compiled_interp_agreement ?(compile = real_compile)
               Symbex.Engine.explore ~concrete:(packet, in_port, now)
                 ~models:Bolt.Ds_models.default program
             in
-            match (compiled_run, result.Symbex.Engine.paths) with
+            match (direct_run, result.Symbex.Engine.paths) with
             | Some direct, [ path ] -> (
                 let meter = Exec.Meter.create (Hw.Model.null ()) in
                 match
@@ -697,26 +644,26 @@ let compiled_interp_agreement ?(compile = real_compile)
                     then Pass
                     else
                       fail name seed
-                        "%s: fidelity replay costs IC %d / MA %d, compiled \
-                         run costs IC %d / MA %d"
+                        "%s: fidelity replay costs IC %d / MA %d, \
+                         specialized run costs IC %d / MA %d"
                         (subject_name subject) replay.Exec.Interp.ic
                         replay.Exec.Interp.ma direct.Exec.Interp.ic
                         direct.Exec.Interp.ma
                 | exception Exec.Replay.Divergence msg ->
                     fail name seed
-                      "%s: compiled-agreeing path does not replay (%s)"
+                      "%s: specialized-agreeing path does not replay (%s)"
                       (subject_name subject) msg
                 | exception Exec.Interp.Stuck msg ->
                     fail name seed
-                      "%s: fidelity replay stuck (%s) where the compiled run \
-                       was not"
+                      "%s: fidelity replay stuck (%s) where the specialized \
+                       run was not"
                       (subject_name subject) msg)
             | _ ->
                 (* stuck input or multi-path disagreements belong to
                    [concrete_symbex_agreement]; both engines already
                    agreed above *)
                 Pass)
-        | _ -> Pass))
+        | _ -> Pass)
   in
   { name; run }
 
@@ -794,7 +741,7 @@ let all () =
     cache_equivalence ();
     obs_neutrality ();
     concrete_symbex_agreement ();
-    compiled_interp_agreement ();
+    specialized_interp_agreement ();
   ]
 
 let names () = List.map (fun o -> o.name) (all ())

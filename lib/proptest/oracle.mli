@@ -17,13 +17,12 @@
       symbolic engine, the fidelity-checked replay and the direct
       interpreter (all instances of one {!Ir.Eval} walker) agree on
       path count, outcome and IC/MA;
-    - {b compiled-interp-agreement} — the closure-compiled executor
-      ({!Exec.Compiled}) is bit-identical to the interpreter over whole
-      streams (outcome, IC/MA/cycles, observations, traced events,
-      packet bytes, Stuck messages), the config-specialized executor
-      ({!Exec.Specialize}) agrees packet for packet on the same stream
-      (Stuck packets by message — charge equivalence), and on stateless
-      subjects the fidelity replay reproduces the compiled run's IC/MA.
+    - {b specialized-interp-agreement} — the specialized production
+      engine ({!Exec.Specialize}) agrees with the interpreter packet for
+      packet over whole streams (outcome, IC/MA/cycles, observations,
+      packet bytes, Stuck messages — charge equivalence), on the null
+      model and on a coupled model, and on stateless subjects the
+      fidelity replay reproduces the specialized run's IC/MA.
 
     On failure the counterexample is shrunk ({!Shrink}) before being
     reported, and the report carries a runnable repro command.
@@ -83,31 +82,26 @@ val concrete_symbex_agreement :
     test (default {!Symbex.Engine.explore}); tests pass one that
     tampers with the returned path's assumed decisions. *)
 
-val compiled_interp_agreement :
-  ?compile:(Ir.Program.t -> Exec.Compiled.t) ->
+val specialized_interp_agreement :
   ?specialize:
-    (Exec.Compiled.t ->
+    (Ir.Program.t ->
     meter:Exec.Meter.t ->
     mode:Exec.Interp.mode ->
     Exec.Specialize.t) ->
   unit ->
   t
-(** The compiled hot path and the interpreter must tell bit-for-bit the
-    same story on any subject and stream — outcome, IC, MA, cycles, PCV
-    observations, the full traced event list and the final packet
-    bytes, with Stuck runs matching message for message.  A further leg
-    binds the compiled program to the frozen configuration
-    ({!Exec.Specialize.bind}) and replays the same stream through the
-    specialized closures on an untraced meter, comparing outcome,
-    costs, observations and packet bytes per packet (Stuck packets by
-    message — the charge-equivalence contract, DESIGN §12), once on the
-    null model and once on the coupled {!Recording} model, whose
-    per-packet access log must match as well.  Registry
-    subjects get one fresh data-structure environment per engine so
-    state evolves independently but identically.  [compile] substitutes
-    the compiler under test (default {!Exec.Compiled.compile}) and
-    [specialize] the specializer (default {!Exec.Specialize.bind});
-    tests pass ones that compile or bind a tampered program. *)
+(** The specialized production engine and the interpreter must tell the
+    same story on any subject and stream: the program is bound to the
+    frozen configuration ({!Exec.Specialize.bind}) and replayed on an
+    untraced meter, comparing outcome, costs, observations and packet
+    bytes per packet (Stuck packets by message — the charge-equivalence
+    contract, DESIGN §12), once on the null model and once on the
+    coupled {!Recording} model, whose per-packet access log must match
+    as well.  Registry subjects get one fresh data-structure
+    environment per engine so state evolves independently but
+    identically.  [specialize] substitutes the binder under test
+    (default {!Exec.Specialize.bind}); tests pass one that binds a
+    tampered program. *)
 
 val stateful_model : ?tamper:(int list -> int list) -> Stateful.t -> t
 (** Model-agreement oracle for one stateful case

@@ -4,7 +4,7 @@
    instantiated with one harvested PCV distribution per backend — emit
    the Pareto front over (predicted p50 cycles, predicted p99 cycles,
    memory footprint), and confirm the front's winner by replaying the
-   same workload on the compiled path, reporting predicted-vs-measured
+   same workload on the specialized path, reporting predicted-vs-measured
    error.
 
    Scoring never times anything: per backend there is exactly one

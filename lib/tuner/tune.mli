@@ -7,7 +7,7 @@
     certification-pipeline run per backend — emits the Pareto front over
     (predicted p50 cycles, predicted p99 cycles, memory footprint), and
     confirms the front's winner by replaying the same workload on the
-    compiled path, reporting predicted-vs-measured error.
+    specialized path, reporting predicted-vs-measured error.
 
     The result is a pure function of [(nf, backends, capacities,
     packets, seed)]; [jobs] only parallelizes the pipeline and never

@@ -7,7 +7,6 @@ let () =
       ("hw", T_hw.suite);
       ("ir", T_ir.suite);
       ("exec", T_exec.suite);
-      ("compiled", T_compiled.suite);
       ("specialize", T_specialize.suite);
       ("pool", T_pool.suite);
       ("dslib", T_dslib.suite);

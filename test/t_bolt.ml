@@ -27,8 +27,8 @@ let test_pipeline_all_nfs () =
     (Nf.Registry.all ())
 
 let test_trie_contract_shape () =
-  let t = analyze Nf.Router_trie.program (Nf.Router_trie.contracts ()) in
-  let contract = Bolt.Pipeline.contract t ~classes:(Nf.Router_trie.classes ()) in
+  let t = analyze (Nf.Router.program `Trie) (Nf.Router.contracts `Trie) in
+  let contract = Bolt.Pipeline.contract t ~classes:(Nf.Router.classes `Trie) in
   let valid = Contract.find_exn contract ~class_name:"Valid packets" in
   let ic = Cost_vec.get valid.Contract.cost Metric.Instructions in
   check_int "4l coefficient (paper Table 1)" 4
@@ -124,8 +124,8 @@ let test_class_coalescing_dominates_members () =
 let test_witness_packets_are_classy () =
   (* witnesses of class member paths satisfy the class's packet
      predicate concretely *)
-  let t = analyze Nf.Router_trie.program (Nf.Router_trie.contracts ()) in
-  let classes = Nf.Router_trie.classes () in
+  let t = analyze (Nf.Router.program `Trie) (Nf.Router.contracts `Trie) in
+  let classes = Nf.Router.classes `Trie in
   let invalid = List.nth classes 0 in
   List.iter
     (fun (a : Bolt.Pipeline.path_analysis) ->

@@ -231,8 +231,8 @@ let test_policer_production () =
 (* ---- Throughput ------------------------------------------------------------ *)
 
 let test_throughput_bounds () =
-  let t = analyze Nf.Router_lpm.program (Nf.Router_lpm.contracts ()) in
-  let classes = Nf.Router_lpm.classes () in
+  let t = analyze (Nf.Router.program `Dir24_8) (Nf.Router.contracts `Dir24_8) in
+  let classes = Nf.Router.classes `Dir24_8 in
   let bounds = Bolt.Throughput.of_classes ~freq_hz:3_300_000_000 t classes in
   check_int "one bound per class" (List.length classes) (List.length bounds);
   List.iter

@@ -214,42 +214,12 @@ let test_catches_tampered_decisions () =
         "failure names its oracle" "concrete_symbex_agreement"
         f.Proptest.Oracle.oracle
 
-let test_catches_tampered_compile () =
-  (* a compiler that sneaks one extra assignment into the program before
-     compiling: every packet then costs one Move more than the
-     interpreter charges, and the per-packet IC comparison must flag
-     it.  The assigned variable is fresh, so the outcome is unchanged —
-     only the exact-cost check can catch this. *)
-  let compile (p : Ir.Program.t) =
-    Exec.Compiled.compile
-      {
-        p with
-        Ir.Program.body =
-          Ir.Stmt.assign "__tamper" (Ir.Expr.int 0) :: p.Ir.Program.body;
-      }
-  in
-  let o = Proptest.Oracle.compiled_interp_agreement ~compile () in
-  match first_failure o with
-  | None -> Alcotest.fail "a tampered compiled program was not caught"
-  | Some f ->
-      Alcotest.(check string)
-        "failure names its oracle" "compiled_interp_agreement"
-        f.Proptest.Oracle.oracle
-
 let test_catches_tampered_specialize () =
-  (* the traced compiled legs stay honest (real compiler), but the
-     specializer binds a program with one smuggled assignment: only the
-     specialized-vs-interp comparison can see the extra Move, so a
-     failure here pins the specialized leg specifically.  [compile]
-     records the subject so the tampering hook — which only receives
-     the already-compiled form — can rebuild a modified source. *)
-  let last = ref None in
-  let compile p =
-    last := Some p;
-    Exec.Compiled.compile p
-  in
-  let specialize _ct ~meter ~mode =
-    let p = Option.get !last in
+  (* a binder that sneaks one extra assignment into the program before
+     specializing it: every packet then costs one Move more than the
+     interpreter charges.  The assigned variable is fresh, so the
+     outcome is unchanged — only the exact-cost check can catch this. *)
+  let specialize (p : Ir.Program.t) ~meter ~mode =
     let tampered =
       {
         p with
@@ -257,14 +227,14 @@ let test_catches_tampered_specialize () =
           Ir.Stmt.assign "__tamper" (Ir.Expr.int 0) :: p.Ir.Program.body;
       }
     in
-    Exec.Specialize.bind (Exec.Compiled.compile tampered) ~meter ~mode
+    Exec.Specialize.bind tampered ~meter ~mode
   in
-  let o = Proptest.Oracle.compiled_interp_agreement ~compile ~specialize () in
+  let o = Proptest.Oracle.specialized_interp_agreement ~specialize () in
   match first_failure o with
   | None -> Alcotest.fail "a tampered specialization was not caught"
   | Some f ->
       Alcotest.(check string)
-        "failure names its oracle" "compiled_interp_agreement"
+        "failure names its oracle" "specialized_interp_agreement"
         f.Proptest.Oracle.oracle;
       let mentions_specialized =
         let detail = f.Proptest.Oracle.detail in
@@ -275,7 +245,7 @@ let test_catches_tampered_specialize () =
         in
         scan 0
       in
-      check_bool "the specialized leg (not the compiled one) flagged it" true
+      check_bool "the failure reports the per-packet divergence" true
         mentions_specialized
 
 (* ---- Stateful model-based oracles ------------------------------------ *)
@@ -509,8 +479,6 @@ let suite =
       test_catches_obs_dependence;
     Alcotest.test_case "catches tampered path decisions" `Quick
       test_catches_tampered_decisions;
-    Alcotest.test_case "catches a tampered compile" `Quick
-      test_catches_tampered_compile;
     Alcotest.test_case "catches a tampered specialization" `Quick
       test_catches_tampered_specialize;
     Alcotest.test_case "stateful oracle registry shape" `Quick

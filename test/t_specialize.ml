@@ -1,6 +1,10 @@
 (* Equivalence and zero-allocation guarantees for the config-specialized
-   executor (Exec.Specialize, DESIGN §12):
+   executor (Exec.Specialize, DESIGN §12), the production engine:
 
+   - golden: on every registry NF, replayed the way the Distiller does
+     (realistic model, DMA boundary per packet) at jobs 1 and 4, the
+     specialized stream matches the interpreter packet for packet;
+   - coverage: every registry NF specializes, on every model family;
    - parity: on every registry NF the specialized stream must agree with
      the interpreter packet for packet — outcome, IC, MA, cycles, PCV
      observations and final packet bytes — on an address-blind (null,
@@ -11,13 +15,13 @@
      interpreter's access for access — the order in which static packs,
      operator, call and loop-test charges land, which totals cannot see;
    - exit coverage: every guard exit applies its own path's charge pack,
-     so packets built to leave through each exit of each specializing NF
+     so packets built to leave through each exit of each registry NF
      get their own exact-charge check on every model family;
    - fast paths: each dslib sink twin charges exactly what its metered
      method does, branch by branch;
    - topologies: every built-in topology's transits through the
      specialized harness match an interpreter replay hop for hop;
-   - zero allocation: every specializing NF allocates exactly 0 minor
+   - zero allocation: every registry NF allocates exactly 0 minor
      words per packet through [Exec.Specialize.exec] in steady state,
      drop paths included, and so does the NAT's churn write path (expire,
      free, allocate, insert on every packet);
@@ -25,8 +29,9 @@
      the interpreter (charges are equivalent, not identical — a stuck
      packet reaches no exit, so its path's pack never lands and only the
      message is compared);
-   - fallbacks: a tracing meter and analysis mode must each decline to
-     specialize yet still execute exactly. *)
+   - fallbacks: a tracing meter, analysis mode and a call site without a
+     fast path must each decline to specialize yet still execute
+     exactly. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -153,11 +158,12 @@ let test_parity_conservative () =
        ~must_specialize:true)
     benched
 
-(* Every other registry NF must at least agree (specialized or not). *)
+(* Every registry NF, each on the specialized body. *)
 let test_parity_all_nfs () =
   List.iter
     (fun nf ->
-      check_parity ~packets:120 ~hw:null ~mname:"null" nf)
+      check_parity ~packets:120 ~hw:null ~mname:"null" ~must_specialize:true
+        nf)
     (Nf.Registry.names ())
 
 (* Longer, differently-seeded streams for the two stateful NFs whose
@@ -172,35 +178,35 @@ let test_bridge_stress_parity () =
   check_parity ~packets:800 ~seed:91 ~hw:null ~mname:"null"
     ~must_specialize:true "bridge"
 
-(* Every registry NF whose call sites all have fast paths. *)
-let specializing =
-  [
-    "bridge"; "nat"; "conntrack"; "responder"; "firewall"; "static_router";
-    "policer"; "maglev";
-  ]
+(* Every registry NF: all their call sites have fast paths. *)
+let specializing = Nf.Registry.names ()
 
-(* A coupled model changes how charges land, not whether a stream
-   specializes: every NF that specializes on the null model must take
-   the specialized body on the realistic one too. *)
 let specializes model (entry : Nf.Registry.entry) =
   let meter = Exec.Meter.create (model ()) in
   Exec.Specialize.specialized (fst (Nf.Registry.specialize entry ~meter))
 
-let test_coupled_specializes () =
-  let on_null = List.filter (specializes Hw.Model.null) (Nf.Registry.all ()) in
-  check_bool "the null model specializes every listed NF" true
-    (List.for_all
-       (fun nf ->
-         List.exists (fun (e : Nf.Registry.entry) -> e.Nf.Registry.name = nf)
-           on_null)
-       specializing);
+let check_all_specialize ~mname model =
   List.iter
     (fun (e : Nf.Registry.entry) ->
       check_bool
-        (e.Nf.Registry.name ^ " specializes on the realistic model")
-        true
-        (specializes Hw.Model.realistic e))
-    on_null
+        (Printf.sprintf "%s specializes on the %s model" e.Nf.Registry.name
+           mname)
+        true (specializes model e))
+    (Nf.Registry.all ())
+
+(* No registry NF falls back to the interpreter, whatever the model's
+   memory pricing. *)
+let test_every_nf_specializes () =
+  check_all_specialize ~mname:"null" Hw.Model.null;
+  check_all_specialize ~mname:"conservative" Hw.Model.conservative;
+  check_all_specialize ~mname:"realistic" Hw.Model.realistic
+
+(* A coupled model changes how charges land, not whether a stream
+   specializes: the access-logging recording model, coupled like the
+   realistic one, takes the specialized body too. *)
+let test_coupled_specializes () =
+  check_all_specialize ~mname:"recording" (fun () ->
+      Proptest.Recording.model (Proptest.Recording.create ()))
 
 (* Packet by packet, each specializing NF's accesses must reach a
    coupled model with exactly the instruction count the interpreter had
@@ -578,6 +584,86 @@ let test_churn_zero_alloc () =
        (Array.of_list (churn_stream (3 * n)))
        ~warm:(2 * n))
 
+(* ---- Golden: the Distiller's discipline on every NF ------------------- *)
+
+(* Replay [stream] the way the Distiller does (shared warm realistic
+   meter, observation reset, DMA boundary before every packet) through
+   the interpreter or the specialized engine.  Returns, per packet, the
+   run and its observations and final bytes, plus whether the stream
+   took the specialized body. *)
+let golden_replay ~engine (entry : Nf.Registry.entry) stream =
+  let model = Hw.Model.realistic () in
+  let meter = Exec.Meter.create model in
+  let dma =
+    [ (Exec.Interp.packet_base, 2048); (Exec.Interp.rx_ring_base, 256) ]
+  in
+  let exec, specialized =
+    match engine with
+    | `Interp ->
+        let mode =
+          Exec.Interp.Production
+            (entry.Nf.Registry.setup (Dslib.Layout.allocator ()))
+        in
+        ( (fun ~in_port ~now packet ->
+            Exec.Interp.run ~meter ~mode ~in_port ~now
+              entry.Nf.Registry.program packet),
+          false )
+    | `Specialized ->
+        let sp, _ = Nf.Registry.specialize entry ~meter in
+        ( (fun ~in_port ~now packet ->
+            Exec.Specialize.run sp ~in_port ~now packet),
+          Exec.Specialize.specialized sp )
+  in
+  ( List.map
+      (fun { Workload.Stream.packet; now; in_port } ->
+        Exec.Meter.reset_observations meter;
+        model.Hw.Model.boundary dma;
+        let run =
+          match exec ~in_port ~now packet with
+          | r -> Ok r
+          | exception Exec.Interp.Stuck msg -> Error msg
+        in
+        (run, Exec.Meter.observations meter, Net.Packet.to_bytes packet))
+      stream,
+    specialized )
+
+(* Per-packet disagreements, as plain strings.  This runs on pool worker
+   domains, so it must not touch Alcotest: its checks print through one
+   shared Format queue, and concurrent checks corrupt it.  Every
+   assertion happens on the main domain. *)
+let golden_mismatches nf =
+  let entry = Nf.Registry.find nf in
+  let stream =
+    Proptest.Gen_net.stream_for (Workload.Prng.create ~seed:77) ~nf
+      ~packets:40
+  in
+  let interp, _ = golden_replay ~engine:`Interp entry (copy_stream stream) in
+  let spec, specialized =
+    golden_replay ~engine:`Specialized entry (copy_stream stream)
+  in
+  (if specialized then [] else [ nf ^ " fell back to the interpreter" ])
+  @ List.concat
+      (List.mapi
+         (fun i ((ra, oa, ba), (rb, ob, bb)) ->
+           List.filter_map
+             (fun (what, same) ->
+               if same then None
+               else Some (Printf.sprintf "%s packet %d %s" nf i what))
+             [
+               ("run", ra = rb);
+               ("observations", oa = ob);
+               ("bytes", Bytes.equal ba bb);
+             ])
+         (List.combine interp spec))
+
+let test_golden_all_nfs ~jobs () =
+  let names = Nf.Registry.names () in
+  List.iter2
+    (fun nf found ->
+      Alcotest.(check (list string)) (nf ^ " matches the interpreter") [] found)
+    names
+    (Exec.Pool.map ~jobs golden_mismatches names)
+
 (* ---- Stuck parity ----------------------------------------------------- *)
 
 (* Charge equivalence, not identity: a Stuck packet may differ from the
@@ -591,7 +677,7 @@ let run_stuck program packet engine =
     | `Interp -> Exec.Interp.run ~meter ~mode program packet
     | `Specialized ->
         Exec.Specialize.run
-          (Exec.Specialize.bind (Exec.Compiled.compile program) ~meter ~mode)
+          (Exec.Specialize.bind program ~meter ~mode)
           packet
   with
   | (_ : Exec.Interp.run) -> "no-stuck"
@@ -709,7 +795,49 @@ let fast_path_scenarios () =
       List.map
         (fun h -> ("backend_for", [| h |]))
         [ 0; 5; 12; 13; 1_000_003 ] );
+    ( "lpm_trie",
+      (fun () ->
+        let t = Dslib.Lpm_trie.create ~base:0x2300_0000 ~default_port:9 in
+        List.iter
+          (fun (prefix, len, port) ->
+            Dslib.Lpm_trie.add_route t ~prefix ~len ~port)
+          [
+            (0x0a000000, 8, 1); (0x0a010000, 16, 2); (0x0a010200, 24, 3);
+            (0x0a010203, 32, 4); (0xc0a80000, 13, 5);
+          ];
+        Dslib.Lpm_trie.to_ds t),
+      (* depths 0 (miss), 1, 8, 13, 16, 24 and 32 *)
+      List.map
+        (fun ip -> ("lookup", [| ip |]))
+        [
+          0x01020304; 0x8a000000; 0x0aff0000; 0xc0a80101; 0x0a01ff00;
+          0x0a010201; 0x0a010203;
+        ] );
+    ( "lpm_dir24_8",
+      (fun () ->
+        let t = Dslib.Lpm_dir24_8.create ~base:0x2400_0000 ~default_port:9 in
+        List.iter
+          (fun (prefix, len, port) ->
+            Dslib.Lpm_dir24_8.add_route t ~prefix ~len ~port)
+          [ (0x0a000000, 16, 1); (0x0a000180, 28, 2); (0x0b000000, 24, 3) ];
+        Dslib.Lpm_dir24_8.to_ds t),
+      (* tbl24 hits, the tbl8 route, its /24's tbl8 fallback, a miss *)
+      List.map
+        (fun ip -> ("lookup", [| ip |]))
+        [ 0x0a00ff01; 0x0b000007; 0x0a000185; 0x0a000101; 0x0c000000 ] );
   ]
+  @ List.map
+      (fun rows ->
+        let key k = [| 0x0a000000 + k; 0; 0; k land 3; 17 |] in
+        ( Printf.sprintf "count_min (%d row%s)" rows
+            (if rows = 1 then "" else "s"),
+          (fun () ->
+            Dslib.Count_min.to_ds
+              (Dslib.Count_min.create ~base:0x2500_0000 ~rows ~width:8)),
+          List.concat_map
+            (fun k -> [ ("update", key k); ("estimate", key (k + 1)) ])
+            [ 0; 1; 0; 2; 9; 0; 1 ] ))
+      [ 1; 4 ]
 
 let test_fast_path_twins () =
   List.iter
@@ -899,9 +1027,7 @@ let test_fallback_analysis_mode () =
       match engine with
       | `Interp -> Exec.Interp.run ~meter ~mode ~in_port:1 ~now:5 program packet
       | `Specialized ->
-          let sp =
-            Exec.Specialize.bind (Exec.Compiled.compile program) ~meter ~mode
-          in
+          let sp = Exec.Specialize.bind program ~meter ~mode in
           check_bool "analysis mode falls back" false
             (Exec.Specialize.specialized sp);
           Exec.Specialize.run sp ~in_port:1 ~now:5 packet
@@ -910,23 +1036,43 @@ let test_fallback_analysis_mode () =
   in
   check_bool "analysis run equal" true (run `Interp = run `Specialized)
 
-(* Fallback streams — NFs with a call site no fast path covers — still
-   agree over a whole stateful replay. *)
+(* A structure without fast paths — one added later, say — still runs:
+   the stream falls back to the interpreter and agrees with it over a
+   whole stateful replay.  The subject is the calls-in-loops program of
+   [control_shapes] with its flow table's fast paths withheld. *)
 let test_fallback_parity () =
-  let fallbacks =
-    List.filter
-      (fun e -> not (specializes Hw.Model.realistic e))
-      (Nf.Registry.all ())
+  let entry =
+    List.find
+      (fun e -> e.Nf.Registry.name = "calls_in_loop")
+      (control_shapes ())
   in
-  check_bool "some registry NF still falls back" true (fallbacks <> []);
-  List.iter
-    (fun (e : Nf.Registry.entry) ->
-      check_parity ~packets:120 ~hw:realistic ~mname:"realistic"
-        e.Nf.Registry.name)
-    fallbacks
+  let entry =
+    {
+      entry with
+      Nf.Registry.setup =
+        (fun alloc ->
+          List.map
+            (fun (name, ds) ->
+              (name, Exec.Ds.make ~kind:ds.Exec.Ds.kind ds.Exec.Ds.call))
+            (entry.Nf.Registry.setup alloc));
+    }
+  in
+  check_bool "a call site without a fast path falls back" false
+    (specializes Hw.Model.realistic entry);
+  let stream =
+    stream_of (List.init 120 (fun k -> (k land 1, flow (k * 7 mod 19))))
+  in
+  ignore
+    (compare_replays ~hw:realistic ~ctx:"fallback/realistic" entry stream)
 
 let suite =
   [
+    Alcotest.test_case "golden vs interp, all NFs, jobs 1" `Slow
+      (test_golden_all_nfs ~jobs:1);
+    Alcotest.test_case "golden vs interp, all NFs, jobs 4" `Slow
+      (test_golden_all_nfs ~jobs:4);
+    Alcotest.test_case "every registry NF specializes" `Quick
+      test_every_nf_specializes;
     Alcotest.test_case "parity on the null model" `Quick test_parity_null;
     Alcotest.test_case "parity on the conservative model" `Quick
       test_parity_conservative;

@@ -94,7 +94,7 @@ let test_spacket_overlay () =
 let test_engine_trie_router_paths () =
   (* short-frame drop is pruned (min packet is 60B), leaving the
      invalid-ethertype path and the valid path *)
-  let result = explore Nf.Router_trie.program in
+  let result = explore (Nf.Router.program `Trie) in
   check_int "two feasible paths" 2 (List.length result.Symbex.Engine.paths);
   check_bool "pruned the short-frame fork" true
     (result.Symbex.Engine.infeasible_pruned >= 1)
@@ -190,8 +190,8 @@ let test_engine_rejects_call_in_pcv_loop () =
   | _ -> Alcotest.fail "call inside PCV loop accepted"
 
 let test_iclass_matching () =
-  let result = explore Nf.Router_trie.program in
-  let classes = Nf.Router_trie.classes () in
+  let result = explore (Nf.Router.program `Trie) in
+  let classes = Nf.Router.classes `Trie in
   let invalid = List.nth classes 0 and valid = List.nth classes 1 in
   let members cls =
     List.filter (Symbex.Iclass.matches cls result) result.Symbex.Engine.paths
