@@ -1,4 +1,4 @@
-.PHONY: all build test test-one-core lint bench bench-quick bench-smoke soak-smoke scale-smoke fuzz-smoke fuzz-stateful-smoke tune-smoke topo-smoke examples doc clean
+.PHONY: all build test test-one-core lint bench bench-quick bench-smoke soak-smoke scale-smoke fuzz-smoke fuzz-stateful-smoke tune-smoke topo-smoke topo-parity examples doc clean
 
 all: build
 
@@ -166,6 +166,21 @@ tune-smoke:
 # (non-quick) run regenerates the tracked BENCH_topo.json.
 topo-smoke:
 	dune exec bench/main.exe -- topo --quick --json BENCH_topo_smoke.json
+
+# Parity gate for the network-wide contract engine: the full `bench topo`
+# run must reproduce the committed BENCH_topo.json exactly, its
+# provenance block (host, time) aside.  Needs jq.
+topo-parity:
+	@dir=$$(mktemp -d); \
+	dune exec bench/main.exe -- topo --json $$dir/topo.json \
+	  && jq 'del(.provenance)' BENCH_topo.json > $$dir/want.json \
+	  && jq 'del(.provenance)' $$dir/topo.json > $$dir/got.json \
+	  && diff -u $$dir/want.json $$dir/got.json; \
+	rc=$$?; rm -rf $$dir; \
+	if [ $$rc -ne 0 ]; then \
+	  echo "topo-parity: bench topo no longer reproduces BENCH_topo.json"; \
+	fi; \
+	exit $$rc
 
 # CI smoke for the soundness fuzzer: a few deterministic rounds of all
 # six differential oracles (see docs/TESTING.md).  Exits non-zero on a

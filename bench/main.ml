@@ -906,7 +906,7 @@ let topo () =
     List.map
       (fun (entry : Topo.Builtin.entry) ->
         let g = entry.Topo.Builtin.graph in
-        let t = Topo.Analysis.run ?jobs:!jobs g in
+        let t = Topo.Analysis.run g in
         let joint = Topo.Analysis.worst t in
         let naive =
           (* per-node standalone worst cases, added — what an operator
@@ -920,8 +920,7 @@ let topo () =
                       default |> with_contracts e.Nf.Registry.contracts)
                   e.Nf.Registry.program
               in
-              Bolt.Compose.naive_add ~up:acc
-                ~down:(Bolt.Pipeline.worst_case pt))
+              Perf.Cost_vec.add acc (Bolt.Pipeline.worst_case pt))
             Perf.Cost_vec.zero t.Topo.Analysis.entries
         in
         let joint_ic = eval_all [ joint; naive ] joint Perf.Metric.Instructions

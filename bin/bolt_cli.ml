@@ -188,15 +188,14 @@ let tune_cmd nf_name backends capacities packets jobs seed json_path =
       close_out oc;
       Fmt.pr "wrote %s@." path
 
-(* Network-wide contracts: analyse a built-in topology (ISSUE: topologies
-   as first-class programs).  The graph is validated, walked jointly —
-   every node symbolically executed on its predecessor's symbolic output,
-   infeasible route tuples pruned — and the result printed as
-   per-(ingress-class, egress) end-to-end bounds.  --replay additionally
+(* Network-wide contracts: analyse a built-in topology.  The graph is
+   validated, walked jointly — every node symbolically executed on its
+   predecessor's symbolic output, infeasible route tuples pruned — and the
+   result printed as per-(ingress-class, egress) end-to-end bounds.  --replay additionally
    pushes the topology's deterministic workload through the specialized
    per-node engines and checks every packet against the composed bound
    (exit 2 on violation). *)
-let topo_cmd name_opt list_only class_name jobs replay metric json_path =
+let topo_cmd name_opt list_only class_name replay metric json_path =
   if list_only then
     List.iter (fun n -> Fmt.pr "%s@." n) (Topo.Builtin.names ())
   else begin
@@ -216,7 +215,7 @@ let topo_cmd name_opt list_only class_name jobs replay metric json_path =
     in
     let g = entry.Topo.Builtin.graph in
     Fmt.pr "%a@." Topo.Graph.pp g;
-    let t = Topo.Analysis.run ?jobs g in
+    let t = Topo.Analysis.run g in
     Fmt.pr
       "analysed %d end-to-end routes (%d infeasible route tuples pruned, %d \
        unsolved)@.@."
@@ -715,8 +714,8 @@ let topo_t =
           tuples), and print per-(ingress-class, egress) end-to-end \
           bounds — tighter than adding per-NF worst cases")
     Term.(
-      const topo_cmd $ name_arg $ list_flag $ class_arg $ jobs_arg
-      $ replay_arg $ metric_arg $ json_arg)
+      const topo_cmd $ name_arg $ list_flag $ class_arg $ replay_arg
+      $ metric_arg $ json_arg)
 
 let paths_t =
   Cmd.v

@@ -297,9 +297,8 @@ let analyze ~(config : Config.t) program =
 let path_count t = List.length t.analyses
 
 let class_members t cls =
-  List.filter
-    (fun a -> Symbex.Iclass.matches cls t.engine a.path)
-    t.analyses
+  let member = Symbex.Iclass.matches cls t.engine in
+  List.filter (fun a -> member a.path) t.analyses
 
 let class_cost t cls =
   let members = class_members t cls in

@@ -50,10 +50,8 @@ type chain = {
 
 let no_contracts = Ds_contract.library []
 
-(* The historic hand-wired firewall→router pair, as a topology: the
-   [Any] edge follows the forward regardless of port, exactly the
-   pre-topology chain semantics, so the analysis below is bit-identical
-   to what [Bolt.Compose.analyze] produced (pinned by test). *)
+(* The firewall→router pair (Table 5c, Figure 3) as a topology: the
+   [Any] edge follows the forward regardless of port. *)
 let fw_router_graph () =
   Topo.Graph.validated ~name:"fw_router"
     ~description:
@@ -108,7 +106,7 @@ let of_transit (tr : Topo.Harness.transit) =
 let chain_experiment ?(packets = 512) () =
   let fw = analyze Nf.Firewall.program no_contracts in
   let rt = analyze Nf.Static_router.program no_contracts in
-  let topo = Topo.Analysis.run ~jobs:1 (fw_router_graph ()) in
+  let topo = Topo.Analysis.run (fw_router_graph ()) in
   let firewall_worst = Bolt.Pipeline.worst_case fw in
   let router_worst = Bolt.Pipeline.worst_case rt in
   let rng = Workload.Prng.create ~seed:11 in
@@ -129,7 +127,7 @@ let chain_experiment ?(packets = 512) () =
   {
     firewall_worst;
     router_worst;
-    naive_add = Bolt.Compose.naive_add ~up:firewall_worst ~down:router_worst;
+    naive_add = Cost_vec.add firewall_worst router_worst;
     composite = Topo.Analysis.worst topo;
     measured_firewall =
       max_measure
@@ -150,7 +148,7 @@ let table5 ppf =
   in
   Fmt.pf ppf "(a) %a@." (Contract.pp_metric Metric.Instructions) fw_contract;
   Fmt.pf ppf "(b) %a@." (Contract.pp_metric Metric.Instructions) rt_contract;
-  let topo = Topo.Analysis.run ~jobs:1 (fw_router_graph ()) in
+  let topo = Topo.Analysis.run (fw_router_graph ()) in
   Fmt.pf ppf "(c) firewall+router chain — instruction count@.";
   List.iter
     (fun cls ->

@@ -16,8 +16,7 @@ val table6 : Format.formatter -> unit
 
 val fw_router_graph : unit -> Topo.Graph.t
 (** The firewall→router chain of Table 5c / Figure 3 as a first-class
-    topology ([Any] edge: follow the forward regardless of port — the
-    historic pair-composition semantics). *)
+    topology ([Any] edge: follow the forward regardless of port). *)
 
 type chain = {
   firewall_worst : Perf.Cost_vec.t;

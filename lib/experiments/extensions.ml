@@ -106,24 +106,27 @@ let throughput_table ppf =
 
 (* ---- Three-NF chain ---------------------------------------------------- *)
 
+(* The chain as a topology: [Any] edges follow every forward, so each
+   route's joint constraints are those of its last node's path. *)
+let chain3_graph () =
+  Topo.Graph.validated ~name:"chain3"
+    ~description:"firewall -> policer -> static router" ~ingress:"firewall"
+    ~nodes:
+      [
+        Topo.Graph.node "firewall" Nf.Spec.Firewall;
+        Topo.Graph.node "policer" (Nf.Spec.Policer Nf.Policer.default_config);
+        Topo.Graph.node "router" Nf.Spec.Static_router;
+      ]
+    ~edges:
+      [
+        Topo.Graph.edge "firewall" Topo.Graph.Any (Topo.Graph.Node "policer");
+        Topo.Graph.edge "policer" Topo.Graph.Any (Topo.Graph.Node "router");
+      ]
+    ()
+
 let chain3 ppf =
-  let stages =
-    [
-      { Bolt.Compose.program = Nf.Firewall.program; contracts = no_contracts };
-      {
-        Bolt.Compose.program = Nf.Policer.program;
-        contracts = Nf.Policer.contracts ();
-      };
-      {
-        Bolt.Compose.program = Nf.Static_router.program;
-        contracts = no_contracts;
-      };
-    ]
-  in
-  let chain =
-    Bolt.Compose.analyze_chain ~models:Bolt.Ds_models.default stages
-  in
-  let worst = Bolt.Compose.chain_worst chain in
+  let chain = Topo.Analysis.run (chain3_graph ()) in
+  let worst = Topo.Analysis.worst chain in
   let naive =
     Cost_vec.sum
       [
@@ -140,8 +143,8 @@ let chain3 ppf =
     "firewall -> policer -> static router, analysed jointly (§3.4 \
      generalised to chains):@.@.";
   Fmt.pf ppf "  feasible path tuples: %d (unsolved: %d)@."
-    (List.length chain.Bolt.Compose.tuples)
-    chain.Bolt.Compose.chain_unsolved;
+    (List.length chain.Topo.Analysis.routes)
+    chain.Topo.Analysis.unsolved;
   Fmt.pf ppf "  joint worst case:  IC %d@." (ic worst);
   Fmt.pf ppf "  naive addition:    IC %d@." (ic naive);
   Fmt.pf ppf "  (%.0f%% tighter: options packets die at the firewall, \
@@ -152,12 +155,16 @@ let chain3 ppf =
     /. float_of_int (max 1 (ic naive)));
   (* options packets never reach the router in any feasible tuple *)
   let option_tuples =
-    Bolt.Compose.chain_class_cost chain (fun input ->
-        [
-          Solver.Constr.ge
-            (Solver.Linexpr.sym (Symbex.Spacket.byte_sym input 14))
-            (Solver.Linexpr.const 0x46);
-        ])
+    Topo.Analysis.class_cost chain
+      (Symbex.Iclass.make ~name:"IP options"
+         ~predicate:(fun r ->
+           [
+             Solver.Constr.ge
+               (Solver.Linexpr.sym
+                  (Symbex.Spacket.byte_sym r.Symbex.Engine.input 14))
+               (Solver.Linexpr.const 0x46);
+           ])
+         ())
   in
   Fmt.pf ppf
     "  packets with IP options: bound IC %d over %d compatible tuples@."

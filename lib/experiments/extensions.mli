@@ -7,6 +7,9 @@ val throughput_table : Format.formatter -> unit
     batched I/O amortisation — against the observed throughput of the
     production build on a class-conforming workload. *)
 
+val chain3_graph : unit -> Topo.Graph.t
+(** Firewall → policer → static router, linked by [Any] edges. *)
+
 val chain3 : Format.formatter -> unit
 (** A three-NF chain (firewall → policer → static router) analysed
     jointly, versus naive addition of the three worst cases. *)

@@ -43,10 +43,13 @@ let requirement_holds (path : Path.t) r =
   | [] -> false
   | tags -> List.for_all (String.equal r.tag) tags
 
-let matches t result (path : Path.t) =
-  List.for_all (requirement_holds path) t.requires
+let admits t ~predicate ~tags constraints =
+  List.for_all (requirement_holds tags) t.requires
   && List.for_all
-       (fun (instance, meth) -> Path.tags_of path ~instance ~meth = [])
+       (fun (instance, meth) -> Path.tags_of tags ~instance ~meth = [])
        t.forbids
-  && Cache.is_sat ~max_conjuncts:512 ~max_nodes:4000
-       (t.predicate result @ path.Path.constraints)
+  && Cache.is_sat ~max_conjuncts:512 ~max_nodes:4000 (predicate @ constraints)
+
+let matches t result =
+  let predicate = t.predicate result in
+  fun (path : Path.t) -> admits t ~predicate ~tags:path path.Path.constraints

@@ -31,10 +31,20 @@ val make :
 val req : string -> string -> string -> requirement
 (** [req instance meth tag]. *)
 
+val admits :
+  t -> predicate:Solver.Constr.t list -> tags:Path.t -> Solver.Constr.t list ->
+  bool
+(** The membership test.  [admits t ~predicate ~tags constraints]: every
+    requirement holds on [tags] (at least one call to the method, all with
+    the required tag), no forbidden method is called on it, and
+    [predicate] — [t.predicate] already applied to the engine result, so
+    a caller judging many paths computes it once — is satisfiable together
+    with [constraints]. *)
+
 val matches : t -> Engine.result -> Path.t -> bool
-(** Path membership: the class predicate must be satisfiable together with
-    the path constraints, and every requirement must hold (at least one
-    call to the method, all with the required tag). *)
+(** Path membership: {!admits} with the path's own tags and constraints.
+    [matches t result] applies the predicate once for every path it is
+    given. *)
 
 (** {1 Predicate helpers} *)
 

@@ -1,7 +1,7 @@
 (** The symbolic packet.
 
     Input bytes are fresh symbols, created lazily and shared by all the
-    paths of one engine run (and by chained NFs — see [Bolt.Compose]), so
+    paths of one engine run (and by chained NFs — see [Topo.Analysis]), so
     input-class predicates and path constraints talk about the same
     symbols.  Writes are tracked per path in a functional overlay, so a
     path's view of the packet after rewriting is the symbolic output

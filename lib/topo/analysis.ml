@@ -5,7 +5,12 @@ type egress =
   | Dropped of string
   | Flooded of string
 
-type step = { node : string; path : Symbex.Path.t }
+type step = {
+  node : string;
+  path : Symbex.Path.t;
+  in_port : Solver.Sym.t;
+  now : Solver.Sym.t;
+}
 
 type route = {
   steps : step list;
@@ -31,49 +36,133 @@ let pp_egress ppf = function
   | Dropped node -> Fmt.pf ppf "drop@@%s" node
   | Flooded node -> Fmt.pf ppf "flood@@%s" node
 
-let index_of nodes name =
-  let rec go i = function
-    | [] -> assert false (* validated *)
-    | (n : Graph.node) :: tl -> if n.Graph.name = name then i else go (i + 1) tl
-  in
-  go 0 nodes
+(* ---- Replay of a route's witness --------------------------------------- *)
 
-let lower (graph : Graph.t) entries =
-  let nodes =
-    Array.of_list
-      (List.map
-         (fun (n : Graph.node) ->
-           let entry = List.assoc n.Graph.name entries in
-           {
-             Bolt.Dag.label = n.Graph.name;
-             program = entry.Nf.Registry.program;
-             contracts = entry.Nf.Registry.contracts;
-           })
-         graph.Graph.nodes)
-  in
-  let edges =
-    List.map
-      (fun (e : Graph.edge) ->
-        {
-          Bolt.Dag.src = index_of graph.Graph.nodes e.Graph.src;
-          sel =
-            (match e.Graph.sel with
-            | Graph.Any -> Bolt.Dag.Any
-            | Graph.Port p -> Bolt.Dag.Port p);
-          target =
-            (match e.Graph.target with
-            | Graph.Node d -> Bolt.Dag.To (index_of graph.Graph.nodes d)
-            | Graph.Exit l -> Bolt.Dag.Exit l);
-        })
-      graph.Graph.edges
-  in
-  {
-    Bolt.Dag.nodes;
-    ingress = index_of graph.Graph.nodes graph.Graph.ingress;
-    edges;
-  }
+let concretize_packet model (input : Symbex.Spacket.input) =
+  let len = Solver.Model.value model (Symbex.Spacket.len_sym input) in
+  let packet = Net.Packet.create len in
+  List.iter
+    (fun (off, sym) ->
+      if off < len then
+        Net.Packet.set_u8 packet off (Solver.Model.value model sym land 0xff))
+    (Symbex.Spacket.known_bytes input);
+  packet
 
-let run ?max_paths ?jobs ?(models = Bolt.Ds_models.default) graph =
+(* One step's cost, replayed on the route's concrete witness packet. *)
+let replay_cost (entry : Nf.Registry.entry) model packet step =
+  let path = step.path in
+  let _, events =
+    Bolt.Pipeline.replay_witness ~path
+      ~stubs:
+        (List.map
+           (fun c -> Solver.Model.eval model c.Symbex.Path.ret)
+           path.Symbex.Path.calls)
+      ~in_port:(Solver.Model.value model step.in_port)
+      ~now:(Solver.Model.value model step.now)
+      entry.Nf.Registry.program packet
+  in
+  Bolt.Pipeline.analyze_replay ~contracts:entry.Nf.Registry.contracts ~path
+    events
+
+(* ---- The walk (paper §3.4, SymNet-style) -------------------------------- *)
+
+(* Every node runs on its predecessor's symbolic output packet under the
+   accumulated constraints.  A [Forward] follows the edge declared for its
+   port, adding the [out_port = p] constraint and pinning the downstream
+   [in_port]; [Drop]/[Flood] end the route at that node.  Route tuples whose
+   joint constraints are unsatisfiable are pruned, which is what makes the
+   composed bound tighter than adding per-node worst cases (Figure 3).
+   Exploration threads one shared symbol generator, so the walk is serial;
+   the graph was validated, so every name resolves and there is no cycle. *)
+let walk ?max_paths ~models graph entries =
+  let gen = Solver.Sym.gen () in
+  let input = Symbex.Spacket.input gen () in
+  let view0 = Symbex.Spacket.view input in
+  let ctx = Symbex.Value.ctx gen in
+  let ingress_engine = ref None in
+  let infeasible = ref 0 in
+  (* (steps_rev, egress, joint constraints), reversed traversal order *)
+  let pending = ref [] in
+  let emit steps_rev egress cons =
+    pending := (steps_rev, egress, cons) :: !pending
+  in
+  let feasible cons =
+    Solver.Cache.is_sat ~max_conjuncts:512 ~max_nodes:4000 cons
+  in
+  let rec descend steps_rev node view cons pin =
+    let engine =
+      Symbex.Engine.explore ?max_paths ~shared:(gen, view) ~initial:cons
+        ?pin_port:pin ~models (List.assoc node entries).Nf.Registry.program
+    in
+    if !ingress_engine = None then ingress_engine := Some engine;
+    List.iter
+      (fun (path : Symbex.Path.t) ->
+        let steps_rev =
+          {
+            node;
+            path;
+            in_port = engine.Symbex.Engine.in_port;
+            now = engine.Symbex.Engine.now;
+          }
+          :: steps_rev
+        in
+        match path.Symbex.Path.action with
+        | Symbex.Path.Drop ->
+            emit steps_rev (Dropped node) path.Symbex.Path.constraints
+        | Symbex.Path.Flood ->
+            emit steps_rev (Flooded node) path.Symbex.Path.constraints
+        | Symbex.Path.Forward v -> route steps_rev node path v)
+      engine.Symbex.Engine.paths
+  and route steps_rev node (path : Symbex.Path.t) v =
+    match Graph.out_edges graph node with
+    | [] ->
+        emit steps_rev
+          (Exited { node; label = Graph.default_exit })
+          path.Symbex.Path.constraints
+    | [ { Graph.sel = Graph.Any; target; _ } ] ->
+        follow steps_rev node path path.Symbex.Path.constraints target None
+    | edges ->
+        (* every edge carries a [Port] selector (validated): constrain the
+           forwarded value, prune infeasible (port, path) tuples, and send
+           the complement — a port nobody declared — out of the topology *)
+        let lin = Symbex.Value.to_lin ctx v in
+        let side = Symbex.Value.take_side ctx in
+        let ports =
+          List.filter_map
+            (fun (e : Graph.edge) ->
+              match e.Graph.sel with
+              | Graph.Port p -> Some (p, e.Graph.target)
+              | Graph.Any -> assert false (* validated: Any is exclusive *))
+            edges
+        in
+        List.iter
+          (fun (p, target) ->
+            let cons =
+              path.Symbex.Path.constraints
+              @ (Solver.Constr.eq lin (Solver.Linexpr.const p) :: side)
+            in
+            if feasible cons then follow steps_rev node path cons target (Some p)
+            else incr infeasible)
+          ports;
+        let cons =
+          path.Symbex.Path.constraints
+          @ List.map
+              (fun (p, _) -> Solver.Constr.ne lin (Solver.Linexpr.const p))
+              ports
+          @ side
+        in
+        if feasible cons then
+          emit steps_rev (Exited { node; label = Graph.default_exit }) cons
+        else incr infeasible
+  and follow steps_rev node (path : Symbex.Path.t) cons target pin =
+    match target with
+    | Graph.Exit label -> emit steps_rev (Exited { node; label }) cons
+    | Graph.Node next -> descend steps_rev next path.Symbex.Path.view cons pin
+  in
+  descend [] graph.Graph.ingress view0 [] None;
+  (List.rev !pending, !infeasible, input, Option.get !ingress_engine)
+
+let run ?max_paths ?(models = Bolt.Ds_models.default) graph =
   (match Graph.validate graph with
   | [] -> ()
   | errs ->
@@ -87,40 +176,39 @@ let run ?max_paths ?jobs ?(models = Bolt.Ds_models.default) graph =
         (n.Graph.name, Nf.Registry.of_spec n.Graph.spec))
       graph.Graph.nodes
   in
-  let dag = lower graph entries in
-  let r = Bolt.Dag.analyze ?max_paths ?jobs ~models dag in
-  let name_of i = (List.nth graph.Graph.nodes i).Graph.name in
-  let egress_of = function
-    | Bolt.Dag.Exited { node; label } -> Exited { node = name_of node; label }
-    | Bolt.Dag.Dropped node -> Dropped (name_of node)
-    | Bolt.Dag.Flooded node -> Flooded (name_of node)
+  let pending, infeasible_routes, input, ingress_engine =
+    walk ?max_paths ~models graph entries
   in
-  let routes =
-    List.map
-      (fun (route : Bolt.Dag.route) ->
-        {
-          steps =
-            List.map
-              (fun (s : Bolt.Dag.step) ->
-                {
-                  node = name_of s.Bolt.Dag.step_node;
-                  path = s.Bolt.Dag.step_path;
-                })
-              route.Bolt.Dag.steps;
-          egress = egress_of route.Bolt.Dag.egress;
-          constraints = route.Bolt.Dag.constraints;
-          cost = route.Bolt.Dag.cost;
-        })
-      r.Bolt.Dag.routes
+  (* A route is kept when its joint constraints have a witness and every
+     traversed node replays on it; the rest are counted as unsolved. *)
+  let finalize (steps_rev, egress, constraints) =
+    let steps = List.rev steps_rev in
+    match Solver.Solve.check constraints with
+    | Solver.Solve.Unsat | Solver.Solve.Unknown -> None
+    | Solver.Solve.Sat model -> (
+        let packet = concretize_packet model input in
+        match
+          List.fold_left
+            (fun acc st ->
+              Cost_vec.add acc
+                (replay_cost (List.assoc st.node entries) model packet st))
+            Cost_vec.zero steps
+        with
+        | cost -> Some { steps; egress; constraints; cost }
+        | exception
+            ( Failure _ | Bolt.Pipeline.Replay_divergence _
+            | Exec.Interp.Stuck _ ) ->
+            None)
   in
+  let routes = List.filter_map finalize pending in
   {
     graph;
     entries;
     routes;
-    unsolved = r.Bolt.Dag.unsolved;
-    infeasible_routes = r.Bolt.Dag.infeasible_routes;
-    input = r.Bolt.Dag.input;
-    ingress_engine = r.Bolt.Dag.ingress_engine;
+    unsolved = List.length pending - List.length routes;
+    infeasible_routes;
+    input;
+    ingress_engine;
   }
 
 let worst t = Cost_vec.max_upper_list (List.map (fun r -> r.cost) t.routes)
@@ -140,33 +228,19 @@ let egress_cost t egress =
 let ingress_classes t =
   (List.assoc t.graph.Graph.ingress t.entries).Nf.Registry.classes
 
-(* Class membership mirrors {!Bolt.Compose.class_cost}: tag requirements
-   and forbids are judged on the ingress path (they are abstract-state
-   assumptions of the ingress NF), the class predicate must be
-   satisfiable together with the route's joint constraints. *)
-let route_in_class pred (cls : Symbex.Iclass.t) route =
-  let ingress_path =
-    match route.steps with s :: _ -> s.path | [] -> assert false
-  in
-  List.for_all
-    (fun (r : Symbex.Iclass.requirement) ->
-      match
-        Symbex.Path.tags_of ingress_path ~instance:r.Symbex.Iclass.instance
-          ~meth:r.Symbex.Iclass.meth
-      with
-      | [] -> false
-      | tags -> List.for_all (String.equal r.Symbex.Iclass.tag) tags)
-    cls.Symbex.Iclass.requires
-  && List.for_all
-       (fun (instance, meth) ->
-         Symbex.Path.tags_of ingress_path ~instance ~meth = [])
-       cls.Symbex.Iclass.forbids
-  && Solver.Cache.is_sat ~max_conjuncts:512 ~max_nodes:4000
-       (pred @ route.constraints)
-
+(* Tag requirements and forbids are judged on the ingress path (they are
+   abstract-state assumptions of the ingress NF); the class predicate,
+   applied once per class, must be satisfiable together with the route's
+   joint constraints. *)
 let class_members t (cls : Symbex.Iclass.t) =
-  let pred = cls.Symbex.Iclass.predicate t.ingress_engine in
-  List.filter (route_in_class pred cls) t.routes
+  let predicate = cls.Symbex.Iclass.predicate t.ingress_engine in
+  List.filter
+    (fun r ->
+      let ingress_path =
+        match r.steps with s :: _ -> s.path | [] -> assert false
+      in
+      Symbex.Iclass.admits cls ~predicate ~tags:ingress_path r.constraints)
+    t.routes
 
 let class_cost t cls = bound (class_members t cls)
 

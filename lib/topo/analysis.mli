@@ -1,25 +1,35 @@
-(** Network-wide contract derivation over a {!Graph}.
+(** Network-wide contract derivation over a {!Graph} (paper §3.4).
 
-    Lowers the name-level graph onto {!Bolt.Dag} (each node's program
-    and contract library coming from {!Nf.Registry.of_spec}), walks it —
-    every node symbolically executed on its predecessor's symbolic
-    output packet, infeasible route tuples pruned by the solver — and
-    joins the per-route replayed costs into per-(egress, input-class)
-    end-to-end bounds with {!Perf.Cost_vec.max_upper_list}, the same
-    conservative monomial-wise-max coalescing `Perf.Contract` uses. *)
+    Walks the graph from its ingress — every node (program and contract
+    library from {!Nf.Registry.of_spec}) symbolically executed on its
+    predecessor's symbolic output packet under the accumulated
+    constraints, infeasible route tuples pruned by the solver — replays
+    each route's witness through every traversed node, and joins the
+    per-route replayed costs into per-(egress, input-class) end-to-end
+    bounds with {!Perf.Cost_vec.max_upper_list}, the same conservative
+    monomial-wise-max coalescing `Perf.Contract` uses. *)
 
 type egress =
   | Exited of { node : string; label : string }
   | Dropped of string
   | Flooded of string
 
-type step = { node : string; path : Symbex.Path.t }
+type step = {
+  node : string;
+  path : Symbex.Path.t;
+  in_port : Solver.Sym.t;  (** that node's ingress-port symbol *)
+  now : Solver.Sym.t;
+}
 
 type route = {
   steps : step list;  (** ingress first *)
   egress : egress;
+      (** [Exited] over an [Exit] edge, or with {!Graph.default_exit} on a
+          port with no declared edge *)
   constraints : Solver.Constr.t list;
-  cost : Perf.Cost_vec.t;
+      (** joint constraints of the whole route, including the
+          port-selection constraints of traversed edges *)
+  cost : Perf.Cost_vec.t;  (** sum of per-node replayed costs *)
 }
 
 type t = {
@@ -27,19 +37,19 @@ type t = {
   entries : (string * Nf.Registry.entry) list;  (** node name → entry *)
   routes : route list;
   unsolved : int;
+      (** routes whose witness could not be solved or replayed —
+          excluded from the bound but counted *)
   infeasible_routes : int;
+      (** route tuples pruned because a port-selection constraint was
+          unsatisfiable with the accumulated path constraints *)
   input : Symbex.Spacket.input;
   ingress_engine : Symbex.Engine.result;
 }
 
 val run :
-  ?max_paths:int ->
-  ?jobs:int ->
-  ?models:Symbex.Model.registry ->
-  Graph.t ->
-  t
+  ?max_paths:int -> ?models:Symbex.Model.registry -> Graph.t -> t
 (** Raises [Invalid_argument] (with every {!Graph.error} rendered) on an
-    ill-formed graph.  Deterministic at any [jobs] level. *)
+    ill-formed graph. *)
 
 val worst : t -> Perf.Cost_vec.t
 (** End-to-end bound over every route. *)

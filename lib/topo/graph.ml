@@ -39,6 +39,7 @@ let pp_error ppf = function
       Fmt.pf ppf "cycle: %a" Fmt.(list ~sep:(any " -> ") string) ns
   | Unreachable n -> Fmt.pf ppf "node %S is unreachable from the ingress" n
 
+let default_exit = "out"
 let find_node t name = List.find (fun (n : node) -> n.name = name) t.nodes
 let out_edges t name = List.filter (fun e -> e.src = name) t.edges
 let mem t name = List.exists (fun (n : node) -> n.name = name) t.nodes

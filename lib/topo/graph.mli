@@ -70,6 +70,10 @@ val pp_error : Format.formatter -> error -> unit
 val pp : Format.formatter -> t -> unit
 (** One-line-per-node summary of the topology. *)
 
+val default_exit : string
+(** Label of a forward on a port with no declared edge (["out"]): the
+    packet leaves the topology there. *)
+
 val find_node : t -> string -> node
 (** Raises [Not_found]. *)
 

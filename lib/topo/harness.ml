@@ -77,7 +77,7 @@ let create ?hw (g : Graph.t) =
               | Graph.Any -> Some (dest e.Graph.target)
               | Graph.Port _ -> None)
             out
-          |> Option.value ~default:(Out Bolt.Dag.default_exit)
+          |> Option.value ~default:(Out Graph.default_exit)
         in
         { s_name = n.Graph.name; engine; meter; ports; any })
       nodes

@@ -270,7 +270,7 @@ let pp ppf r =
   Fmt.pf ppf "winner: #%d %s (%s)@." r.winner.index r.winner.backend
     (String.concat " " (List.map (fun (k, x) -> k ^ "=" ^ x) r.winner.knobs));
   Fmt.pf ppf
-    "validated on %d packets (compiled replay, realistic model): sound=%b@."
+    "validated on %d packets (specialized replay, realistic model): sound=%b@."
     v.packets v.sound;
   Fmt.pf ppf
     "  ic     p50 pred %7d meas %7d (+%d%%)   p99 pred %7d meas %7d (+%d%%)@."

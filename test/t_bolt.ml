@@ -134,30 +134,29 @@ let test_witness_packets_are_classy () =
     (Bolt.Pipeline.class_members t invalid)
 
 let test_compose_chain () =
-  let c =
-    Bolt.Compose.analyze ~models:Bolt.Ds_models.default
-      ~up:(Nf.Firewall.program, no_contracts)
-      ~down:(Nf.Static_router.program, no_contracts)
-      ()
-  in
-  check_bool "pairs exist" true (c.Bolt.Compose.pairs <> []);
-  check_bool "drop paths retained" true (c.Bolt.Compose.up_only <> []);
-  (* no downstream path behind the firewall processes IP options: the
+  let t = Topo.Analysis.run (Experiments.Exhibits.fw_router_graph ()) in
+  let routes = t.Topo.Analysis.routes in
+  let hops (r : Topo.Analysis.route) = List.length r.Topo.Analysis.steps in
+  check_bool "pairs exist" true (List.exists (fun r -> hops r = 2) routes);
+  check_bool "drop paths retained" true
+    (List.exists (fun r -> hops r = 1) routes);
+  (* no router path behind the firewall processes IP options: the
      expensive branch is provably unreachable *)
   List.iter
-    (fun pair ->
-      check_bool "no options loop behind the firewall" true
-        (pair.Bolt.Compose.down.Symbex.Path.loops = []))
-    c.Bolt.Compose.pairs;
+    (fun (r : Topo.Analysis.route) ->
+      match r.Topo.Analysis.steps with
+      | [ _; router ] ->
+          check_bool "no options loop behind the firewall" true
+            (router.Topo.Analysis.path.Symbex.Path.loops = [])
+      | _ -> ())
+    routes;
   (* the composed bound beats naive addition *)
   let fw = analyze Nf.Firewall.program no_contracts in
   let rt = analyze Nf.Static_router.program no_contracts in
   let naive =
-    Bolt.Compose.naive_add
-      ~up:(Bolt.Pipeline.worst_case fw)
-      ~down:(Bolt.Pipeline.worst_case rt)
+    Cost_vec.add (Bolt.Pipeline.worst_case fw) (Bolt.Pipeline.worst_case rt)
   in
-  let composed = Bolt.Compose.worst_case c in
+  let composed = Topo.Analysis.worst t in
   let binding = [ (Pcv.ip_options, 3) ] in
   let ev vec = Perf_expr.eval_exn binding (Cost_vec.get vec Metric.Instructions) in
   check_bool "composition is tighter (Figure 3)" true

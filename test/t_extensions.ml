@@ -253,23 +253,14 @@ let test_throughput_bounds () =
 (* ---- N-ary chains ----------------------------------------------------------- *)
 
 let test_chain3 () =
-  let stages =
-    [
-      { Bolt.Compose.program = Nf.Firewall.program; contracts = no_contracts };
-      { Bolt.Compose.program = Nf.Policer.program;
-        contracts = Nf.Policer.contracts () };
-      { Bolt.Compose.program = Nf.Static_router.program;
-        contracts = no_contracts };
-    ]
-  in
-  let chain = Bolt.Compose.analyze_chain ~models:Bolt.Ds_models.default stages in
-  check_int "all tuples solved" 0 chain.Bolt.Compose.chain_unsolved;
-  check_bool "tuples exist" true (chain.Bolt.Compose.tuples <> []);
+  let chain = Topo.Analysis.run (Experiments.Extensions.chain3_graph ()) in
+  check_int "all tuples solved" 0 chain.Topo.Analysis.unsolved;
+  check_bool "tuples exist" true (chain.Topo.Analysis.routes <> []);
   (* some tuple traverses all three NFs, some die at the firewall *)
   let lengths =
     List.map
-      (fun t -> List.length t.Bolt.Compose.segments)
-      chain.Bolt.Compose.tuples
+      (fun (r : Topo.Analysis.route) -> List.length r.Topo.Analysis.steps)
+      chain.Topo.Analysis.routes
   in
   check_bool "full traversals" true (List.mem 3 lengths);
   check_bool "early drops" true (List.mem 1 lengths);
@@ -289,7 +280,7 @@ let test_chain3 () =
       (Perf.Cost_vec.get v Perf.Metric.Instructions)
   in
   check_bool "joint < naive" true
-    (ic (Bolt.Compose.chain_worst chain) < ic naive)
+    (ic (Topo.Analysis.worst chain) < ic naive)
 
 (* ---- Ablation switches ------------------------------------------------------- *)
 

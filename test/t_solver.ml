@@ -842,62 +842,31 @@ let nf_witnesses buf =
         t.Bolt.Pipeline.analyses)
     (Nf.Registry.all ())
 
-(* The topology's DAG, lowered as [Topo.Analysis.run] lowers it, so each
-   route's steps keep their per-node in_port and now symbols. *)
-let dag_of_graph (g : Topo.Graph.t) =
-  let names =
-    List.map (fun (n : Topo.Graph.node) -> n.Topo.Graph.name) g.Topo.Graph.nodes
-  in
-  let index name =
-    let rec go i = function
-      | [] -> invalid_arg name
-      | n :: tl -> if n = name then i else go (i + 1) tl
-    in
-    go 0 names
-  in
-  let node (n : Topo.Graph.node) =
-    let e = Nf.Registry.of_spec n.Topo.Graph.spec in
-    {
-      Bolt.Dag.label = n.Topo.Graph.name;
-      program = e.Nf.Registry.program;
-      contracts = e.Nf.Registry.contracts;
-    }
-  in
-  let edge (e : Topo.Graph.edge) =
-    {
-      Bolt.Dag.src = index e.Topo.Graph.src;
-      sel =
-        (match e.Topo.Graph.sel with
-        | Topo.Graph.Any -> Bolt.Dag.Any
-        | Topo.Graph.Port p -> Bolt.Dag.Port p);
-      target =
-        (match e.Topo.Graph.target with
-        | Topo.Graph.Node d -> Bolt.Dag.To (index d)
-        | Topo.Graph.Exit l -> Bolt.Dag.Exit l);
-    }
-  in
-  {
-    Bolt.Dag.nodes = Array.of_list (List.map node g.Topo.Graph.nodes);
-    ingress = index g.Topo.Graph.ingress;
-    edges = List.map edge g.Topo.Graph.edges;
-  }
-
+(* Each route's witness, replayed step by step with that node's own
+   in_port and now; a step is tagged by its node's position in the graph
+   and its path id. *)
 let topo_witnesses buf =
   List.iter
     (fun (b : Topo.Builtin.entry) ->
       let g = b.Topo.Builtin.graph in
-      let r =
-        Bolt.Dag.analyze ~jobs:1 ~models:Bolt.Ds_models.default (dag_of_graph g)
+      let t = Topo.Analysis.run g in
+      let index name =
+        let rec go i = function
+          | [] -> invalid_arg name
+          | (n : Topo.Graph.node) :: tl ->
+              if n.Topo.Graph.name = name then i else go (i + 1) tl
+        in
+        go 0 g.Topo.Graph.nodes
       in
       Printf.bprintf buf "topo %s routes=%d unsolved=%d\n" g.Topo.Graph.name
-        (List.length r.Bolt.Dag.routes) r.Bolt.Dag.unsolved;
+        (List.length t.Topo.Analysis.routes) t.Topo.Analysis.unsolved;
       List.iter
-        (fun (route : Bolt.Dag.route) ->
-          match Solve.check route.Bolt.Dag.constraints with
+        (fun (route : Topo.Analysis.route) ->
+          match Solve.check route.Topo.Analysis.constraints with
           | Solve.Unsat | Solve.Unknown ->
               Alcotest.fail "route lost its witness"
           | Solve.Sat m ->
-              let input = r.Bolt.Dag.input in
+              let input = t.Topo.Analysis.input in
               let len = Model.value m (Symbex.Spacket.len_sym input) in
               let packet = Net.Packet.create len in
               List.iter
@@ -906,21 +875,22 @@ let topo_witnesses buf =
                     Net.Packet.set_u8 packet off (Model.value m s land 0xff))
                 (Symbex.Spacket.known_bytes input);
               List.iter
-                (fun (st : Bolt.Dag.step) ->
-                  let path = st.Bolt.Dag.step_path in
+                (fun (st : Topo.Analysis.step) ->
+                  let path = st.Topo.Analysis.path in
                   add_witness buf
                     ~tag:
-                      (Printf.sprintf "%d:%d" st.Bolt.Dag.step_node
+                      (Printf.sprintf "%d:%d"
+                         (index st.Topo.Analysis.node)
                          path.Symbex.Path.id)
                     ~packet
                     ~stubs:
                       (List.map
                          (fun c -> Model.eval m c.Symbex.Path.ret)
                          path.Symbex.Path.calls)
-                    ~in_port:(Model.value m st.Bolt.Dag.step_in_port)
-                    ~now:(Model.value m st.Bolt.Dag.step_now))
-                route.Bolt.Dag.steps)
-        r.Bolt.Dag.routes)
+                    ~in_port:(Model.value m st.Topo.Analysis.in_port)
+                    ~now:(Model.value m st.Topo.Analysis.now))
+                route.Topo.Analysis.steps)
+        t.Topo.Analysis.routes)
     (Topo.Builtin.all ())
 
 let test_witness_digest () =

@@ -936,8 +936,8 @@ let reference_transit ~hw stations (g : Topo.Graph.t) ~in_port ~now packet =
             (List.rev acc, Topo.Analysis.Exited { node = name; label })
         | None ->
             ( List.rev acc,
-              Topo.Analysis.Exited { node = name; label = Bolt.Dag.default_exit }
-            ))
+              Topo.Analysis.Exited
+                { node = name; label = Topo.Graph.default_exit } ))
   in
   hop_at g.Topo.Graph.ingress in_port []
 

@@ -1,14 +1,12 @@
-(* Topologies as first-class programs: graph validation, the generalised
-   DAG walk behind Bolt.Compose (golden-pinned to the pre-refactor pair
-   and chain results), the built-in topologies' analysis and measured
-   soundness, and jobs-level determinism of the network-wide engine. *)
+(* Topologies as first-class programs: graph validation, the joint walk
+   on the historic pair and three-NF chain (golden-pinned), the built-in
+   topologies' analysis and measured soundness. *)
 
 open Perf
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
-let no_contracts = Ds_contract.library []
 
 (* ---- Graph validation ------------------------------------------------- *)
 
@@ -104,48 +102,36 @@ let test_builtins_validate () =
         (Topo.Graph.validate e.Topo.Builtin.graph = []))
     (Topo.Builtin.all ())
 
-(* ---- The Compose entry points survive the refactor bit-identically ---- *)
+(* ---- The historic chains, pinned --------------------------------------- *)
 
-(* Pinned on the pre-topology Bolt.Compose (direct hand-wired pair walk):
-   the generalised DAG walk must reproduce these numbers exactly. *)
+let hop_counts (t : Topo.Analysis.t) =
+  List.map
+    (fun (r : Topo.Analysis.route) -> List.length r.Topo.Analysis.steps)
+    t.Topo.Analysis.routes
+
+(* The firewall→router pair: 2 routes through both NFs, 8 that end at the
+   firewall. *)
 let test_pair_golden () =
-  let c =
-    Bolt.Compose.analyze ~models:Bolt.Ds_models.default
-      ~up:(Nf.Firewall.program, no_contracts)
-      ~down:(Nf.Static_router.program, no_contracts)
-      ()
-  in
-  let w = Bolt.Compose.worst_case c in
+  let t = Topo.Analysis.run (Experiments.Exhibits.fw_router_graph ()) in
+  let w = Topo.Analysis.worst t in
   let ev m = Perf_expr.eval_exn [] (Cost_vec.get w m) in
   check_int "pair worst IC" 187 (ev Metric.Instructions);
   check_int "pair worst MA" 29 (ev Metric.Memory_accesses);
   check_int "pair worst cycles" 1787 (ev Metric.Cycles);
-  check_int "pairs" 2 (List.length c.Bolt.Compose.pairs);
-  check_int "up_only" 8 (List.length c.Bolt.Compose.up_only);
-  check_int "unsolved" 0 c.Bolt.Compose.unsolved
+  let hops = hop_counts t in
+  check_int "two-step routes" 2 (List.length (List.filter (( = ) 2) hops));
+  check_int "one-step routes" 8 (List.length (List.filter (( = ) 1) hops));
+  check_int "unsolved" 0 t.Topo.Analysis.unsolved
 
 let test_chain_golden () =
-  let stages =
-    [
-      { Bolt.Compose.program = Nf.Firewall.program; contracts = no_contracts };
-      {
-        Bolt.Compose.program = Nf.Policer.program;
-        contracts = Nf.Policer.contracts ();
-      };
-      {
-        Bolt.Compose.program = Nf.Static_router.program;
-        contracts = no_contracts;
-      };
-    ]
-  in
-  let ch = Bolt.Compose.analyze_chain ~models:Bolt.Ds_models.default stages in
-  let w = Bolt.Compose.chain_worst ch in
+  let t = Topo.Analysis.run (Experiments.Extensions.chain3_graph ()) in
+  let w = Topo.Analysis.worst t in
   let ev m = Perf_expr.eval_exn [] (Cost_vec.get w m) in
   check_int "chain worst IC" 271 (ev Metric.Instructions);
   check_int "chain worst MA" 39 (ev Metric.Memory_accesses);
   check_int "chain worst cycles" 3043 (ev Metric.Cycles);
-  check_int "tuples" 11 (List.length ch.Bolt.Compose.tuples);
-  check_int "chain unsolved" 0 ch.Bolt.Compose.chain_unsolved
+  check_int "routes" 11 (List.length t.Topo.Analysis.routes);
+  check_int "chain unsolved" 0 t.Topo.Analysis.unsolved
 
 (* The exhibits ported onto the topology API keep their exact output —
    what examples/chain_composition.exe prints (Table 5, Figure 3). *)
@@ -176,24 +162,12 @@ let test_figure3_pinned () =
      MA   29  measured MA   29\n"
     (Fmt.str "%t" (fun ppf -> Experiments.Exhibits.figure3 ~packets:64 ppf))
 
-(* The fw→router topology reproduces the Compose pair bound exactly:
-   same walk, new clothes. *)
-let test_topology_matches_pair () =
-  let t = Topo.Analysis.run ~jobs:1 (Experiments.Exhibits.fw_router_graph ()) in
-  let w = Topo.Analysis.worst t in
-  let ev m = Perf_expr.eval_exn [] (Cost_vec.get w m) in
-  check_int "topology worst IC" 187 (ev Metric.Instructions);
-  check_int "topology worst MA" 29 (ev Metric.Memory_accesses);
-  check_int "topology worst cycles" 1787 (ev Metric.Cycles);
-  check_int "routes = pairs + up_only" 10 (List.length t.Topo.Analysis.routes);
-  check_int "unsolved" 0 t.Topo.Analysis.unsolved
-
 (* ---- Built-in topologies: pruning, tightness, soundness ---------------- *)
 
 let test_builtin_route_counts () =
   let counts name =
     let t =
-      Topo.Analysis.run ~jobs:1 (Topo.Builtin.find name).Topo.Builtin.graph
+      Topo.Analysis.run (Topo.Builtin.find name).Topo.Builtin.graph
     in
     ( List.length t.Topo.Analysis.routes,
       t.Topo.Analysis.infeasible_routes,
@@ -225,13 +199,13 @@ let naive_sum (t : Topo.Analysis.t) =
               default |> with_contracts e.Nf.Registry.contracts)
           e.Nf.Registry.program
       in
-      Bolt.Compose.naive_add ~up:acc ~down:(Bolt.Pipeline.worst_case pt))
+      Cost_vec.add acc (Bolt.Pipeline.worst_case pt))
     Cost_vec.zero t.Topo.Analysis.entries
 
 (* Figure 3's property holds network-wide: the jointly analysed bound is
    strictly tighter than adding per-NF worst cases. *)
 let test_branch_tighter_than_naive () =
-  let t = Topo.Analysis.run ~jobs:1 (Topo.Builtin.find "branch").Topo.Builtin.graph in
+  let t = Topo.Analysis.run (Topo.Builtin.find "branch").Topo.Builtin.graph in
   let joint = Topo.Analysis.worst t and naive = naive_sum t in
   let j = bind_all [ joint; naive ] joint Metric.Instructions
   and n = bind_all [ joint; naive ] naive Metric.Instructions in
@@ -241,7 +215,7 @@ let test_harness_soundness () =
   List.iter
     (fun name ->
       let entry = Topo.Builtin.find name in
-      let t = Topo.Analysis.run ~jobs:1 entry.Topo.Builtin.graph in
+      let t = Topo.Analysis.run entry.Topo.Builtin.graph in
       let h = Topo.Harness.create entry.Topo.Builtin.graph in
       let report =
         Topo.Harness.check h
@@ -334,7 +308,7 @@ let test_compiled_bound_matches_reference () =
     (fun name ->
       let entry = Topo.Builtin.find name in
       let graph = entry.Topo.Builtin.graph in
-      let worst = Topo.Analysis.worst (Topo.Analysis.run ~jobs:1 graph) in
+      let worst = Topo.Analysis.worst (Topo.Analysis.run graph) in
       List.iter
         (fun (what, worst, violated) ->
           (* harnesses mutate packets: each side replays its own copy *)
@@ -365,7 +339,7 @@ let test_compiled_bound_matches_reference () =
    partition. *)
 let test_egress_class_domination () =
   let t =
-    Topo.Analysis.run ~jobs:1 (Topo.Builtin.find "service_chain").Topo.Builtin.graph
+    Topo.Analysis.run (Topo.Builtin.find "service_chain").Topo.Builtin.graph
   in
   let worst = Topo.Analysis.worst t in
   List.iter
@@ -398,28 +372,6 @@ let test_egress_class_domination () =
         per_egress)
     (Topo.Analysis.ingress_classes t)
 
-(* ---- Determinism under the domain pool -------------------------------- *)
-
-let test_jobs_deterministic () =
-  let fingerprint jobs =
-    let t =
-      Topo.Analysis.run ~jobs (Topo.Builtin.find "branch").Topo.Builtin.graph
-    in
-    ( List.map
-        (fun (r : Topo.Analysis.route) ->
-          ( List.map (fun (s : Topo.Analysis.step) -> s.Topo.Analysis.node)
-              r.Topo.Analysis.steps,
-            Fmt.str "%a" Topo.Analysis.pp_egress r.Topo.Analysis.egress,
-            List.length r.Topo.Analysis.constraints,
-            Fmt.str "%a" Cost_vec.pp r.Topo.Analysis.cost ))
-        t.Topo.Analysis.routes,
-      t.Topo.Analysis.unsolved,
-      t.Topo.Analysis.infeasible_routes,
-      Fmt.str "%a" Contract.pp (Topo.Analysis.contract t) )
-  in
-  let serial = fingerprint 1 in
-  check_bool "jobs:4 identical to jobs:1" true (fingerprint 4 = serial)
-
 let suite =
   [
     Alcotest.test_case "graph validation errors" `Quick test_validate_errors;
@@ -429,8 +381,6 @@ let suite =
       test_chain_golden;
     Alcotest.test_case "table5 text pinned" `Slow test_table5_pinned;
     Alcotest.test_case "figure3 text pinned" `Slow test_figure3_pinned;
-    Alcotest.test_case "topology = pair bound" `Slow
-      test_topology_matches_pair;
     Alcotest.test_case "builtin route counts (pruning)" `Slow
       test_builtin_route_counts;
     Alcotest.test_case "joint beats naive (Figure 3, network-wide)" `Slow
@@ -441,5 +391,4 @@ let suite =
       test_compiled_bound_matches_reference;
     Alcotest.test_case "egress/class domination" `Slow
       test_egress_class_domination;
-    Alcotest.test_case "jobs determinism" `Slow test_jobs_deterministic;
   ]
