@@ -162,6 +162,18 @@ let test_figure3_pinned () =
      MA   29  measured MA   29\n"
     (Fmt.str "%t" (fun ppf -> Experiments.Exhibits.figure3 ~packets:64 ppf))
 
+(* The fw→router topology reproduces the historic pair bound exactly, and
+   every one of its routes is either a pair or a firewall-only route. *)
+let test_topology_matches_pair () =
+  let t = Topo.Analysis.run (Experiments.Exhibits.fw_router_graph ()) in
+  let w = Topo.Analysis.worst t in
+  let ev m = Perf_expr.eval_exn [] (Cost_vec.get w m) in
+  check_int "topology worst IC" 187 (ev Metric.Instructions);
+  check_int "topology worst MA" 29 (ev Metric.Memory_accesses);
+  check_int "topology worst cycles" 1787 (ev Metric.Cycles);
+  check_int "routes = pairs + up_only" 10 (List.length t.Topo.Analysis.routes);
+  check_int "unsolved" 0 t.Topo.Analysis.unsolved
+
 (* ---- Built-in topologies: pruning, tightness, soundness ---------------- *)
 
 let test_builtin_route_counts () =
@@ -381,6 +393,8 @@ let suite =
       test_chain_golden;
     Alcotest.test_case "table5 text pinned" `Slow test_table5_pinned;
     Alcotest.test_case "figure3 text pinned" `Slow test_figure3_pinned;
+    Alcotest.test_case "topology = pair bound" `Slow
+      test_topology_matches_pair;
     Alcotest.test_case "builtin route counts (pruning)" `Slow
       test_builtin_route_counts;
     Alcotest.test_case "joint beats naive (Figure 3, network-wide)" `Slow
