@@ -15,7 +15,8 @@ test-one-core:
 
 # What the CI lint job runs: formatting (a no-op without ocamlformat
 # installed), a warning-clean build of everything (dune emits nothing when clean), the
-# build-flags guard, and the single-walker guard — the only IR traversal lives in lib/ir.
+# build-flags guard, the single-walker guard — the only IR traversal lives in lib/ir —
+# and the one-scale-driver guard over the front-ends.
 DEV_FLAGS := -w @1..3@5..28@30..39@43@46..47@49..57@61..62-40 -strict-sequence -strict-formats -short-paths -keep-locs
 HASH_MAP_CMX := _build/default/lib/dslib/.dslib.objs/native/dslib__Hash_map.cmx
 
@@ -48,6 +49,14 @@ lint:
 	  --include='*.ml' --include='*.mli' | grep -v '^lib/ir/' || true); \
 	if [ -n "$$hits" ]; then \
 	  echo "lint: IR walker duplicated outside lib/ir:"; echo "$$hits"; exit 1; \
+	fi
+	@hits=$$(grep -rnE "(Oracle\.(conntrack|nat)_affinity|Scale\.run)\b" bin bench \
+	  --include='*.ml' || true); \
+	if [ -n "$$hits" ]; then \
+	  echo "lint: bolt scale and bench scale must go through the one scale"; \
+	  echo "      driver (Dataplane.Scale.run_suite), not run the NFs, the"; \
+	  echo "      affinity oracles or the gates themselves:"; \
+	  echo "$$hits"; exit 1; \
 	fi
 	@hits=$$(grep -rn "Interp\.run" lib/distiller lib/tuner lib/topo \
 	  lib/dataplane --include='*.ml' || true); \

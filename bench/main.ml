@@ -60,17 +60,14 @@ let write_json ?packets fields =
   match !json_path with
   | None -> ()
   | Some path ->
-      let j =
-        Perf.Json.Obj
-          (fields @ [ ("provenance", Perf.Provenance.json ?packets ()) ])
-      in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (Perf.Json.to_string ~indent:true j);
-          output_string oc "\n");
+      Perf.Json.write_file ~path
+        (Perf.Json.Obj
+           (fields @ [ ("provenance", Perf.Provenance.json ?packets ()) ]));
       Fmt.pr "  [wrote %s]@." path
+
+let scenario_params () =
+  if !quick then Experiments.Scenarios.quick_params
+  else Experiments.Scenarios.default_params
 
 (* ---- Artifacts -------------------------------------------------------- *)
 
@@ -86,10 +83,7 @@ let figure1_table3 () =
   section
     "Figure 1 + Table 3 — predicted vs measured IC, MA and cycles for 14 \
      NF/class scenarios";
-  let params =
-    if !quick then Experiments.Scenarios.quick_params
-    else Experiments.Scenarios.default_params
-  in
+  let params = scenario_params () in
   let rows = Experiments.Scenarios.figure1_table3 ~params ?jobs:!jobs () in
   Experiments.Harness.pp_rows
     ~title:
@@ -210,10 +204,7 @@ let figures5_6_7 () =
    compare against (BENCH_pipeline.json). *)
 let speedup () =
   section "Speedup — domain-pool scaling of the Figure 1 pipeline";
-  let params =
-    if !quick then Experiments.Scenarios.quick_params
-    else Experiments.Scenarios.default_params
-  in
+  let params = scenario_params () in
   let cores = Domain.recommended_domain_count () in
   let top =
     match !jobs with Some n -> n | None -> max 4 (Exec.Pool.default_jobs ())
@@ -274,10 +265,7 @@ let speedup () =
 let conntrack () =
   section
     "Extension — connection-tracking firewall, predicted vs measured";
-  let params =
-    if !quick then Experiments.Scenarios.quick_params
-    else Experiments.Scenarios.default_params
-  in
+  let params = scenario_params () in
   Experiments.Harness.pp_rows ~title:"CT1-CT5 (same harness as Figure 1)"
     Fmt.stdout
     (Experiments.Scenarios.conntrack_rows ~params ?jobs:!jobs ())
@@ -285,6 +273,76 @@ let conntrack () =
 let floors () =
   section "Extension — guaranteed throughput floors (paper §6 future work)";
   Experiments.Extensions.throughput_table Fmt.stdout
+
+(* ---- Shared measurement helpers ---------------------------------------- *)
+
+(* The specialized engine replayed against the interpreter on the head
+   of a stream before anything is timed: outcomes, costs, observations
+   and packet bytes must agree exactly — a standing guard against
+   specialization drift in the very binary producing the numbers.
+   [head ()] must build a fresh stream, since execution rewrites packets
+   in place. *)
+let parity_check (entry : Nf.Registry.entry) head =
+  let replay exec =
+    List.map
+      (fun (e : Workload.Stream.entry) ->
+        let r =
+          exec ~in_port:e.Workload.Stream.in_port ~now:e.Workload.Stream.now
+            e.Workload.Stream.packet
+        in
+        (r, Net.Packet.to_bytes e.Workload.Stream.packet))
+      (head ())
+  in
+  let interp =
+    let meter = Exec.Meter.create (Hw.Model.null ()) in
+    let dss = entry.Nf.Registry.setup (Dslib.Layout.allocator ()) in
+    replay (fun ~in_port ~now packet ->
+        Exec.Meter.reset_observations meter;
+        let r =
+          Exec.Interp.run ~meter ~mode:(Exec.Interp.Production dss) ~in_port
+            ~now entry.Nf.Registry.program packet
+        in
+        (r, Exec.Meter.observations meter))
+  in
+  let spec =
+    let meter = Exec.Meter.create (Hw.Model.null ()) in
+    let sp, _ = Nf.Registry.specialize entry ~meter in
+    replay (fun ~in_port ~now packet ->
+        Exec.Meter.reset_observations meter;
+        let r = Exec.Specialize.run sp ~in_port ~now packet in
+        (r, Exec.Meter.observations meter))
+  in
+  if interp <> spec then
+    failwith
+      (entry.Nf.Registry.name
+     ^ ": specialized execution diverged from the interpreter")
+
+(* Wall-clock of one replay of [stream] on a fresh engine (null
+   hardware model, fresh data structures).  Engine dispatch happens
+   once, outside the timed loop. *)
+let time_replay (entry : Nf.Registry.entry) engine stream =
+  let meter = Exec.Meter.create (Hw.Model.null ()) in
+  let process : in_port:int -> now:int -> Net.Packet.t -> unit =
+    match engine with
+    | `Interp ->
+        let dss = entry.Nf.Registry.setup (Dslib.Layout.allocator ()) in
+        let mode = Exec.Interp.Production dss in
+        let program = entry.Nf.Registry.program in
+        fun ~in_port ~now packet ->
+          ignore (Exec.Interp.run ~meter ~mode ~in_port ~now program packet)
+    | `Specialized ->
+        let sp, _ = Nf.Registry.specialize entry ~meter in
+        fun ~in_port ~now packet ->
+          ignore (Exec.Specialize.exec sp ~in_port ~now packet : int)
+  in
+  let t0 = Unix.gettimeofday () in
+  List.iter
+    (fun (e : Workload.Stream.entry) ->
+      Exec.Meter.reset_observations meter;
+      process ~in_port:e.Workload.Stream.in_port ~now:e.Workload.Stream.now
+        e.Workload.Stream.packet)
+    stream;
+  Unix.gettimeofday () -. t0
 
 (* ---- Wall-clock throughput: interpreter vs specialized ---------------- *)
 
@@ -296,11 +354,8 @@ let floors () =
    identical metered semantics.  Every stream entry carries its own packet copy — several
    NFs rewrite headers in place (TTL decrement, NAT translation), and a
    shared buffer would feed each replica its predecessor's output
-   instead of fresh traffic.  Before anything is timed, the specialized
-   engine is replayed against the interpreter on the head of the stream
-   and must agree exactly (outcomes, costs, observations, packet
-   bytes) — a standing guard against specialization drift in the very
-   binary producing the numbers; the deep equivalence campaign lives in
+   instead of fresh traffic.  Before anything is timed, [parity_check]
+   runs on the head of the stream; the deep equivalence campaign lives in
    the test suite and fuzz oracle.  Best of several interleaved runs per
    engine; the stream is rebuilt per run because execution mutates
    packet buffers.  The specialized row also reports steady-state
@@ -322,68 +377,6 @@ let exec_throughput () =
     in
     Workload.Stream.constant_rate ~in_port:0 ~start:1_000_000 ~gap:100
       (replicate [] packets)
-  in
-  let parity_check (entry : Nf.Registry.entry) =
-    let n = 256 in
-    let replay exec =
-      List.map
-        (fun (e : Workload.Stream.entry) ->
-          let r =
-            exec ~in_port:e.Workload.Stream.in_port ~now:e.Workload.Stream.now
-              e.Workload.Stream.packet
-          in
-          (r, Net.Packet.to_bytes e.Workload.Stream.packet))
-        (stream_of ~packets:n (Workload.Prng.create ~seed:42))
-    in
-    let interp =
-      let meter = Exec.Meter.create (Hw.Model.null ()) in
-      let dss = entry.Nf.Registry.setup (Dslib.Layout.allocator ()) in
-      replay (fun ~in_port ~now packet ->
-          Exec.Meter.reset_observations meter;
-          let r =
-            Exec.Interp.run ~meter ~mode:(Exec.Interp.Production dss) ~in_port
-              ~now entry.Nf.Registry.program packet
-          in
-          (r, Exec.Meter.observations meter))
-    in
-    let spec =
-      let meter = Exec.Meter.create (Hw.Model.null ()) in
-      let sp, _ = Nf.Registry.specialize entry ~meter in
-      replay (fun ~in_port ~now packet ->
-          Exec.Meter.reset_observations meter;
-          let r = Exec.Specialize.run sp ~in_port ~now packet in
-          (r, Exec.Meter.observations meter))
-    in
-    if interp <> spec then
-      failwith
-        (entry.Nf.Registry.name
-       ^ ": specialized execution diverged from the interpreter")
-  in
-  let time_run entry engine =
-    let dss = entry.Nf.Registry.setup (Dslib.Layout.allocator ()) in
-    let mode = Exec.Interp.Production dss in
-    let meter = Exec.Meter.create (Hw.Model.null ()) in
-    let program = entry.Nf.Registry.program in
-    let stream = stream_of (Workload.Prng.create ~seed:42) in
-    (* engine dispatch happens once, outside the timed loop *)
-    let process : in_port:int -> now:int -> Net.Packet.t -> unit =
-      match engine with
-      | `Interp ->
-          fun ~in_port ~now packet ->
-            ignore (Exec.Interp.run ~meter ~mode ~in_port ~now program packet)
-      | `Specialized ->
-          let sp, _ = Nf.Registry.specialize entry ~meter in
-          fun ~in_port ~now packet ->
-            ignore (Exec.Specialize.exec sp ~in_port ~now packet : int)
-    in
-    let t0 = Unix.gettimeofday () in
-    List.iter
-      (fun (e : Workload.Stream.entry) ->
-        Exec.Meter.reset_observations meter;
-        process ~in_port:e.Workload.Stream.in_port ~now:e.Workload.Stream.now
-          e.Workload.Stream.packet)
-      stream;
-    Unix.gettimeofday () -. t0
   in
   (* steady-state minor-heap words per packet on the specialized path,
      measured after a warm-up pass (tables populated, meter observation
@@ -418,11 +411,12 @@ let exec_throughput () =
      so a slow spell on a shared machine penalizes both sides alike *)
   let measure entry =
     let reps = if !quick then 3 else 5 in
+    let fresh () = stream_of (Workload.Prng.create ~seed:42) in
     let rec go i (bi, bs) =
       if i = 0 then (bi, bs)
       else
-        let wi = time_run entry `Interp in
-        let ws = time_run entry `Specialized in
+        let wi = time_replay entry `Interp (fresh ()) in
+        let ws = time_replay entry `Specialized (fresh ()) in
         go (i - 1) (Float.min bi wi, Float.min bs ws)
     in
     go reps (infinity, infinity)
@@ -431,7 +425,8 @@ let exec_throughput () =
     List.map
       (fun name ->
         let entry = Nf.Registry.find name in
-        parity_check entry;
+        parity_check entry (fun () ->
+            stream_of ~packets:256 (Workload.Prng.create ~seed:42));
         let wi, ws = measure entry in
         let words = alloc_per_packet entry in
         let pps w = float_of_int packets /. w in
@@ -493,6 +488,7 @@ let soak () =
   let churn_flows = if !quick then 50_000 else 1_048_576 in
   let flood_flows = if !quick then 512 else 2_048 in
   let sound_packets = if !quick then 2_000 else 20_000 in
+  let reps = if !quick then 2 else 3 in
   let universe = 65_536 in
   (* a small NAT, so floods reach full chains and churn cycles the table:
      1024 entries, timeout = 1024 packets' worth of stream time *)
@@ -588,70 +584,15 @@ let soak () =
     Workload.Stream.constant_rate ~in_port:0 ~start:1_000_000 ~gap:100
       (take [] n base)
   in
-  let parity_check (entry : Nf.Registry.entry) base =
-    (* specialized vs interpreter on the stream head before timing it *)
-    let replay exec =
-      List.map
-        (fun (e : Workload.Stream.entry) ->
-          let r =
-            exec ~in_port:e.Workload.Stream.in_port ~now:e.Workload.Stream.now
-              e.Workload.Stream.packet
-          in
-          (r, Net.Packet.to_bytes e.Workload.Stream.packet))
-        (stream_of base 256)
-    in
-    let interp =
-      let meter = Exec.Meter.create (Hw.Model.null ()) in
-      let dss = entry.Nf.Registry.setup (Dslib.Layout.allocator ()) in
-      replay (fun ~in_port ~now packet ->
-          Exec.Meter.reset_observations meter;
-          let r =
-            Exec.Interp.run ~meter ~mode:(Exec.Interp.Production dss) ~in_port
-              ~now entry.Nf.Registry.program packet
-          in
-          (r, Exec.Meter.observations meter))
-    in
-    let spec =
-      let meter = Exec.Meter.create (Hw.Model.null ()) in
-      let sp, _ = Nf.Registry.specialize entry ~meter in
-      replay (fun ~in_port ~now packet ->
-          Exec.Meter.reset_observations meter;
-          let r = Exec.Specialize.run sp ~in_port ~now packet in
-          (r, Exec.Meter.observations meter))
-    in
-    if interp <> spec then
-      failwith
-        (entry.Nf.Registry.name
-       ^ ": specialized execution diverged from the interpreter")
-  in
-  let time_once (entry : Nf.Registry.entry) base n =
-    let meter = Exec.Meter.create (Hw.Model.null ()) in
-    let sp, _ = Nf.Registry.specialize entry ~meter in
-    let stream = stream_of base n in
-    let t0 = Unix.gettimeofday () in
-    List.iter
-      (fun (e : Workload.Stream.entry) ->
-        Exec.Meter.reset_observations meter;
-        ignore
-          (Exec.Specialize.exec sp ~in_port:e.Workload.Stream.in_port
-             ~now:e.Workload.Stream.now e.Workload.Stream.packet
-            : int))
-      stream;
-    Unix.gettimeofday () -. t0
-  in
   let rows =
     List.map
       (fun (name, (entry : Nf.Registry.entry)) ->
         let base = base_packets name in
         let n = List.length base in
-        parity_check entry base;
-        let reps = if !quick then 2 else 3 in
+        parity_check entry (fun () -> stream_of base 256);
         let w =
-          let rec go i best =
-            if i = 0 then best
-            else go (i - 1) (Float.min best (time_once entry base n))
-          in
-          go reps infinity
+          Dataplane.Scale.best_of ~reps (fun () ->
+              time_replay entry `Specialized (stream_of base n))
         in
         let report =
           Experiments.Validate.run ~worst:(worst_of entry)
@@ -718,17 +659,10 @@ let soak () =
           in
           if not parity then
             failwith (name ^ ": sharded replay diverged from serial");
-          let reps = if !quick then 2 else 3 in
           let w =
-            let rec go i best =
-              if i = 0 then best
-              else
-                go (i - 1)
-                  (Float.min best
-                     (Dataplane.Shard.with_engine plan (fun e ->
-                          Dataplane.Shard.drain ~parallel:true e stream)))
-            in
-            go reps infinity
+            Dataplane.Scale.best_of ~reps (fun () ->
+                Dataplane.Shard.with_engine plan (fun e ->
+                    Dataplane.Shard.drain ~parallel:true e stream))
           in
           let pps = float_of_int n /. w in
           Fmt.pr "  %-16s %9.0f pps   skew %d%%   parity %b@." name pps
@@ -785,100 +719,24 @@ let soak () =
 
 (* ---- Sharded dataplane: scalability contract vs measurement ----------- *)
 
-(* For firewall, nat and maglev: derive the NFork-style scalability
-   contract at 1/2/4 shards (per-packet worst-case cycles from the NF's
-   own BOLT analysis, dispatch term from Dispatch.cost_vec, skew term
-   from the workload's steering histogram), measure the parallel drain,
-   and gate on the dataplane's correctness invariants.  Parity and the
-   affinity oracles gate everywhere; the speedup and prediction-error
-   gates only fire on multicore hosts — on a 1-core container the
-   contract itself predicts no speedup (the 1/cores floor), so those
-   assertions would be vacuous there. *)
+(* For firewall, nat and maglev at 1/2/4 shards: the scalability
+   contract against the measured parallel drain, plus the affinity
+   oracles, all gated by [Dataplane.Scale.run_suite] — the driver
+   `bolt scale` shares.  Fails on the first correctness failure or (on a
+   multicore host) performance miss. *)
 let scale () =
   section "Scale — sharded dataplane: scalability contract vs measured pps";
   let packets = if !quick then 1024 else 4096 in
-  let reps = if !quick then 2 else 3 in
-  let cores = Domain.recommended_domain_count () in
-  let results =
-    List.map
-      (fun nf -> Dataplane.Scale.run ~packets ~reps nf)
+  let s =
+    Dataplane.Scale.run_suite ~packets ~reps:(if !quick then 2 else 3)
       Dataplane.Scale.default_nfs
   in
-  List.iter (fun r -> Fmt.pr "%a@." Dataplane.Scale.pp r) results;
-  let oracles =
-    [
-      Dataplane.Oracle.conntrack_affinity ~shards:4 ();
-      Dataplane.Oracle.nat_affinity ~shards:4 ();
-    ]
-  in
-  Fmt.pr "@.";
-  List.iter (fun r -> Fmt.pr "  %a@." Dataplane.Oracle.pp r) oracles;
-  (* gates: always — parity and affinity *)
-  List.iter
-    (fun (r : Dataplane.Scale.result) ->
-      List.iter
-        (fun (l : Dataplane.Scale.level) ->
-          if not l.Dataplane.Scale.parity_ok then
-            failwith
-              (Printf.sprintf "scale: %s diverged at %d shards" r.nf
-                 l.Dataplane.Scale.shards))
-        r.Dataplane.Scale.levels)
-    results;
-  if not (List.for_all Dataplane.Oracle.ok oracles) then
-    failwith "scale: dispatcher affinity oracle found violations";
-  (* gates: multicore only — speedup materialises and the prediction
-     lands within the stated bound (50% at 2 shards; beyond that the
-     unmodelled cross-domain effects grow with the shard count) *)
-  if cores >= 2 then
-    List.iter
-      (fun (r : Dataplane.Scale.result) ->
-        match
-          List.find_opt
-            (fun (l : Dataplane.Scale.level) -> l.Dataplane.Scale.shards = 2)
-            r.Dataplane.Scale.levels
-        with
-        | None -> ()
-        | Some l ->
-            if l.Dataplane.Scale.measured_pps <= r.Dataplane.Scale.baseline_pps
-            then
-              failwith
-                (Printf.sprintf
-                   "scale: %s shows no speedup at 2 shards on a %d-core host"
-                   r.nf cores);
-            if Float.abs l.Dataplane.Scale.error_pct > 50. then
-              failwith
-                (Printf.sprintf
-                   "scale: %s prediction off by %.0f%% at 2 shards (bound \
-                    50%%)"
-                   r.nf l.Dataplane.Scale.error_pct))
-      results
-  else
-    Fmt.pr
-      "@.  NOTE: single-core environment — the contract predicts no \
-       speedup here@.  (1/cores floor); speedup and error-bound gates \
-       require a multicore host.@.";
+  Fmt.pr "%a@." Dataplane.Scale.pp_suite s;
+  (match s.Dataplane.Scale.failures @ s.Dataplane.Scale.misses with
+  | first :: _ -> failwith first
+  | [] -> ());
   write_json ~packets
-    [
-      ("artifact", Perf.Json.String "scale");
-      ("quick", Perf.Json.Bool !quick);
-      ("cores", Perf.Json.Int cores);
-      ("error_bound_pct_at_2_shards", Perf.Json.Int 50);
-      ("nfs", Perf.Json.List (List.map Dataplane.Scale.to_json results));
-      ( "affinity",
-        Perf.Json.List
-          (List.map
-             (fun (r : Dataplane.Oracle.report) ->
-               Perf.Json.Obj
-                 [
-                   ("nf", Perf.Json.String r.Dataplane.Oracle.nf);
-                   ("shards", Perf.Json.Int r.Dataplane.Oracle.shards);
-                   ("checked", Perf.Json.Int r.Dataplane.Oracle.checked);
-                   ( "violations",
-                     Perf.Json.Int
-                       (List.length r.Dataplane.Oracle.violations) );
-                 ])
-             oracles) );
-    ]
+    (("quick", Perf.Json.Bool !quick) :: Dataplane.Scale.suite_json s)
 
 (* ---- Network-wide contracts over the built-in topologies -------------- *)
 
@@ -908,21 +766,7 @@ let topo () =
         let g = entry.Topo.Builtin.graph in
         let t = Topo.Analysis.run g in
         let joint = Topo.Analysis.worst t in
-        let naive =
-          (* per-node standalone worst cases, added — what an operator
-             without the joint walk would have to provision for *)
-          List.fold_left
-            (fun acc (_, (e : Nf.Registry.entry)) ->
-              let pt =
-                Bolt.Pipeline.analyze
-                  ~config:
-                    Bolt.Pipeline.Config.(
-                      default |> with_contracts e.Nf.Registry.contracts)
-                  e.Nf.Registry.program
-              in
-              Perf.Cost_vec.add acc (Bolt.Pipeline.worst_case pt))
-            Perf.Cost_vec.zero t.Topo.Analysis.entries
-        in
+        let naive = Topo.Analysis.naive t in
         let joint_ic = eval_all [ joint; naive ] joint Perf.Metric.Instructions
         and naive_ic =
           eval_all [ joint; naive ] naive Perf.Metric.Instructions
@@ -955,56 +799,49 @@ let topo () =
      on at least one topology (Figure 3, network-wide) *)
   if not (List.exists (fun (_, _, j, n, _) -> j < n) rows) then
     failwith "topo: joint bound never beat naive addition";
+  let open Perf.Json in
   write_json ~packets
     [
-      ("artifact", Perf.Json.String "topo");
-      ("quick", Perf.Json.Bool !quick);
+      ("artifact", String "topo");
+      ("quick", Bool !quick);
       ( "topologies",
-        Perf.Json.List
+        List
           (List.map
              (fun (name, t, joint_ic, naive_ic, report) ->
-                     Perf.Json.Obj
-                       [
-                         ("name", Perf.Json.String name);
-                         ( "routes",
-                           Perf.Json.Int (List.length t.Topo.Analysis.routes)
-                         );
-                         ( "infeasible_pruned",
-                           Perf.Json.Int t.Topo.Analysis.infeasible_routes );
-                         ("unsolved", Perf.Json.Int t.Topo.Analysis.unsolved);
-                         ("joint_ic", Perf.Json.Int joint_ic);
-                         ("naive_ic", Perf.Json.Int naive_ic);
-                         ( "tighter_pct",
-                           Perf.Json.Int
-                             (100 * (naive_ic - joint_ic) / naive_ic) );
-                         ( "packets",
-                           Perf.Json.Int report.Topo.Harness.packets );
-                         ("contract_sound", Perf.Json.Bool true);
-                         ( "worst_headroom_pct",
-                           Perf.Json.Int
-                             (int_of_float
-                                report.Topo.Harness.worst_headroom_pct) );
-                         ( "egresses",
-                           Perf.Json.List
-                             (List.map
-                                (fun eg ->
-                                  let cost, n =
-                                    Topo.Analysis.egress_cost t eg
-                                  in
-                                  Perf.Json.Obj
-                                    [
-                                      ( "egress",
-                                        Perf.Json.String
-                                          (Fmt.str "%a"
-                                             Topo.Analysis.pp_egress eg) );
-                                      ("routes", Perf.Json.Int n);
-                                      ( "ic",
-                                        Perf.Json.Int
-                                          (eval_all [ cost ] cost
-                                             Perf.Metric.Instructions) );
-                                    ])
-                                (Topo.Analysis.egresses t)) );
-                       ])
+               Obj
+                 [
+                   ("name", String name);
+                   ("routes", Int (List.length t.Topo.Analysis.routes));
+                   ("infeasible_pruned", Int t.Topo.Analysis.infeasible_routes);
+                   ("unsolved", Int t.Topo.Analysis.unsolved);
+                   ("joint_ic", Int joint_ic);
+                   ("naive_ic", Int naive_ic);
+                   ( "tighter_pct",
+                     Int (100 * (naive_ic - joint_ic) / naive_ic) );
+                   ("packets", Int report.Topo.Harness.packets);
+                   ("contract_sound", Bool true);
+                   ( "worst_headroom_pct",
+                     Int (int_of_float report.Topo.Harness.worst_headroom_pct)
+                   );
+                   ( "egresses",
+                     List
+                       (List.map
+                          (fun eg ->
+                            let cost, n = Topo.Analysis.egress_cost t eg in
+                            Obj
+                              [
+                                ( "egress",
+                                  String
+                                    (Fmt.str "%a" Topo.Analysis.pp_egress eg)
+                                );
+                                ("routes", Int n);
+                                ( "ic",
+                                  Int
+                                    (eval_all [ cost ] cost
+                                       Perf.Metric.Instructions) );
+                              ])
+                          (Topo.Analysis.egresses t)) );
+                 ])
              rows) );
     ]
 

@@ -136,30 +136,26 @@ let fuzz_cmd seed runs oracle_names stateful list_only json_path =
     (match json_path with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        let esc s =
-          String.concat ""
-            (List.map
-               (function
-                 | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n"
-                 | c when Char.code c < 32 -> Printf.sprintf "\\u%04x" (Char.code c)
-                 | c -> String.make 1 c)
-               (List.init (String.length s) (String.get s)))
-        in
-        Printf.fprintf oc
-          "{\"seed\": %d, \"runs\": %d, \"checks\": %d, \"failures\": [%s]}\n"
-          outcome.Proptest.Runner.seed outcome.Proptest.Runner.runs
-          outcome.Proptest.Runner.checks
-          (String.concat ", "
-             (List.map
-                (fun (f : Proptest.Oracle.failure) ->
-                  Printf.sprintf
-                    "{\"oracle\": \"%s\", \"seed\": %d, \"repro\": \"%s\", \
-                     \"detail\": \"%s\"}"
-                    (esc f.Proptest.Oracle.oracle) f.Proptest.Oracle.seed
-                    (esc f.Proptest.Oracle.repro) (esc f.Proptest.Oracle.detail))
-                outcome.Proptest.Runner.failures));
-        close_out oc;
+        let open Perf.Json in
+        write_file ~path
+          (Obj
+             [
+               ("seed", Int outcome.Proptest.Runner.seed);
+               ("runs", Int outcome.Proptest.Runner.runs);
+               ("checks", Int outcome.Proptest.Runner.checks);
+               ( "failures",
+                 List
+                   (List.map
+                      (fun (f : Proptest.Oracle.failure) ->
+                        Obj
+                          [
+                            ("oracle", String f.Proptest.Oracle.oracle);
+                            ("seed", Int f.Proptest.Oracle.seed);
+                            ("repro", String f.Proptest.Oracle.repro);
+                            ("detail", String f.Proptest.Oracle.detail);
+                          ])
+                      outcome.Proptest.Runner.failures) );
+             ]);
         Fmt.pr "wrote %s@." path);
     if outcome.Proptest.Runner.failures <> [] then exit 1
   end
@@ -181,11 +177,7 @@ let tune_cmd nf_name backends capacities packets jobs seed json_path =
   match json_path with
   | None -> ()
   | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Perf.Json.to_string ~indent:true (Tuner.Tune.to_json result));
-      output_char oc '\n';
-      close_out oc;
+      Perf.Json.write_file ~path (Tuner.Tune.to_json result);
       Fmt.pr "wrote %s@." path
 
 (* Network-wide contracts: analyse a built-in topology.  The graph is
@@ -272,26 +264,26 @@ let topo_cmd name_opt list_only class_name replay metric json_path =
 open Cmdliner
 
 let nf_arg =
+  let names = Nf.Registry.names () in
   let doc =
     Printf.sprintf "Network function to analyse: %s."
-      (String.concat ", " (Nf.Registry.names ()))
+      (String.concat ", " names)
   in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"NF" ~doc)
+  let nf = Arg.enum (List.map (fun n -> (n, n)) names) in
+  Arg.(required & pos 0 (some nf) None & info [] ~docv:"NF" ~doc)
+
+let metric_conv =
+  Arg.enum
+    [
+      ("ic", Perf.Metric.Instructions);
+      ("ma", Perf.Metric.Memory_accesses);
+      ("cycles", Perf.Metric.Cycles);
+    ]
 
 let metric_arg =
-  let parse = function
-    | "ic" -> Ok (Some Perf.Metric.Instructions)
-    | "ma" -> Ok (Some Perf.Metric.Memory_accesses)
-    | "cycles" -> Ok (Some Perf.Metric.Cycles)
-    | s -> Error (`Msg ("unknown metric " ^ s))
-  in
-  let print ppf = function
-    | None -> Fmt.string ppf "all"
-    | Some m -> Perf.Metric.pp ppf m
-  in
   Arg.(
     value
-    & opt (conv (parse, print)) None
+    & opt (some ~none:"all" metric_conv) None
     & info [ "metric" ] ~docv:"METRIC" ~doc:"Only print ic, ma or cycles.")
 
 let json_arg =
@@ -325,28 +317,15 @@ let stats_flag =
     & info [ "stats" ]
         ~doc:"Print span and metric summaries to stderr after the run.")
 
-let predict_cmd nf_name json_path bindings_raw metric_name =
+let predict_cmd json_path bindings metric =
   (* evaluate a previously exported contract without re-running BOLT *)
-  ignore nf_name;
   match Perf.Contract_io.read_contract ~path:json_path with
   | Error msg ->
       Fmt.epr "cannot read %s: %s@." json_path msg;
       exit 1
   | Ok contract ->
       let bindings =
-        List.map
-          (fun kv ->
-            match String.split_on_char '=' kv with
-            | [ name; value ] -> (Perf.Pcv.v name, int_of_string value)
-            | _ -> invalid_arg ("bad binding " ^ kv))
-          bindings_raw
-      in
-      let metric =
-        match metric_name with
-        | "ic" -> Perf.Metric.Instructions
-        | "ma" -> Perf.Metric.Memory_accesses
-        | "cycles" -> Perf.Metric.Cycles
-        | other -> invalid_arg ("unknown metric " ^ other)
+        List.map (fun (name, value) -> (Perf.Pcv.v name, value)) bindings
       in
       List.iter
         (fun class_name ->
@@ -359,85 +338,35 @@ let predict_cmd nf_name json_path bindings_raw metric_name =
                 Perf.Pcv.pp pcv)
         (Perf.Contract.class_names contract)
 
-(* Sharded dataplane: derive the scalability contract at each shard
-   count, measure the parallel drain against it, and run the
-   dispatcher-affinity oracles.  Parity or affinity violations exit 2 —
-   they are correctness failures, not performance misses. *)
-let scale_cmd nf_opt shard_levels packets reps seed affinity json_path =
+(* Sharded dataplane: the scalability contract at each shard count
+   against the measured parallel drain, plus the dispatcher-affinity
+   oracles — the suite `bench scale` runs, with the same gates.  A
+   correctness failure (parity, affinity) exits 2; otherwise a
+   performance miss, which only a multicore host can report, exits 1. *)
+let scale_cmd nf_opt shard_levels packets reps seed json_path =
   let nfs =
     match nf_opt with None -> Dataplane.Scale.default_nfs | Some n -> [ n ]
   in
-  let levels = match shard_levels with [] -> [ 1; 2; 4 ] | l -> l in
-  let results =
-    List.map
-      (fun nf ->
-        try Dataplane.Scale.run ~levels ~packets ~reps ~seed nf
-        with Invalid_argument msg ->
-          Fmt.epr "scale: %s@." msg;
-          exit 1)
-      nfs
+  let levels = match shard_levels with [] -> None | l -> Some l in
+  let s =
+    try Dataplane.Scale.run_suite ?levels ~packets ~reps ~seed nfs
+    with Invalid_argument msg ->
+      Fmt.epr "scale: %s@." msg;
+      exit 1
   in
-  List.iter (fun r -> Fmt.pr "%a@." Dataplane.Scale.pp r) results;
-  let oracles =
-    if not affinity then []
-    else begin
-      let shards = max 2 (List.fold_left max 1 levels) in
-      let os =
-        [
-          Dataplane.Oracle.conntrack_affinity ~shards ();
-          Dataplane.Oracle.nat_affinity ~shards ();
-        ]
-      in
-      Fmt.pr "@.";
-      List.iter (fun r -> Fmt.pr "%a@." Dataplane.Oracle.pp r) os;
-      os
-    end
-  in
-  if Domain.recommended_domain_count () = 1 then
-    Fmt.pr
-      "@.note: 1-core environment — the contract's 1/cores floor \
-       predicts no speedup here.@.";
+  Fmt.pr "%a@." Dataplane.Scale.pp_suite s;
   (match json_path with
   | None -> ()
   | Some path ->
-      let j =
-        Perf.Json.Obj
-          [
-            ("artifact", Perf.Json.String "scale");
-            ("nfs", Perf.Json.List (List.map Dataplane.Scale.to_json results));
-            ( "affinity",
-              Perf.Json.List
-                (List.map
-                   (fun (r : Dataplane.Oracle.report) ->
-                     Perf.Json.Obj
-                       [
-                         ("nf", Perf.Json.String r.Dataplane.Oracle.nf);
-                         ("shards", Perf.Json.Int r.Dataplane.Oracle.shards);
-                         ("checked", Perf.Json.Int r.Dataplane.Oracle.checked);
-                         ( "violations",
-                           Perf.Json.Int
-                             (List.length r.Dataplane.Oracle.violations) );
-                       ])
-                   oracles) );
-          ]
-      in
-      let oc = open_out path in
-      output_string oc (Perf.Json.to_string ~indent:true j);
-      output_char oc '\n';
-      close_out oc;
+      Perf.Json.write_file ~path
+        (Perf.Json.Obj
+           (Dataplane.Scale.suite_json s
+           @ [ ("provenance", Perf.Provenance.json ~packets ()) ]));
       Fmt.pr "wrote %s@." path);
-  let parity_broken =
-    List.exists
-      (fun (r : Dataplane.Scale.result) ->
-        List.exists
-          (fun (l : Dataplane.Scale.level) -> not l.Dataplane.Scale.parity_ok)
-          r.Dataplane.Scale.levels)
-      results
-  in
-  if parity_broken || not (List.for_all Dataplane.Oracle.ok oracles) then begin
-    Fmt.epr "scale: sharded execution violated a correctness gate@.";
-    exit 2
-  end
+  let failures = s.Dataplane.Scale.failures in
+  List.iter (Fmt.epr "%s@.") (failures @ s.Dataplane.Scale.misses);
+  if failures <> [] then exit 2;
+  if s.Dataplane.Scale.misses <> [] then exit 1
 
 let diff_cmd before_path after_path =
   match
@@ -546,17 +475,18 @@ let predict_t =
          ~doc:"Contract previously exported with --json.")
   in
   let bindings_arg =
-    Arg.(value & opt_all string [] & info [ "bind"; "b" ] ~docv:"PCV=VALUE"
+    Arg.(value & opt_all (pair ~sep:'=' string int) []
+         & info [ "bind"; "b" ] ~docv:"PCV=VALUE"
          ~doc:"Bind a PCV, e.g. -b e=0 -b t=1 (repeatable).")
   in
   let metric_arg =
-    Arg.(value & opt string "ic" & info [ "metric" ] ~docv:"METRIC"
-         ~doc:"ic, ma or cycles.")
+    Arg.(value & opt metric_conv Perf.Metric.Instructions
+         & info [ "metric" ] ~docv:"METRIC" ~doc:"ic, ma or cycles.")
   in
   Cmd.v
     (Cmd.info "predict"
        ~doc:"Evaluate an exported contract at concrete PCV values")
-    Term.(const predict_cmd $ const "" $ file_arg $ bindings_arg $ metric_arg)
+    Term.(const predict_cmd $ file_arg $ bindings_arg $ metric_arg)
 
 let tune_t =
   let backends_arg =
@@ -646,12 +576,6 @@ let scale_t =
       value & opt int 42
       & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.")
   in
-  let no_affinity_flag =
-    Arg.(
-      value & flag
-      & info [ "no-affinity" ]
-          ~doc:"Skip the conntrack/NAT dispatcher-affinity oracles.")
-  in
   let json_arg =
     Arg.(
       value
@@ -669,10 +593,12 @@ let scale_t =
           and NAT-port-slice policies), derive the NFork-style \
           scalability contract at each shard count, and validate \
           prediction, bit-level parity and dispatcher affinity; exits \
-          2 on any correctness violation")
+          2 on any correctness violation and, on a multicore host, 1 \
+          on a missed speedup or a prediction error beyond 50% at 2 \
+          shards")
     Term.(
       const scale_cmd $ nf_arg $ shards_arg $ packets_arg $ reps_arg
-      $ seed_arg $ Term.app (Term.const not) no_affinity_flag $ json_arg)
+      $ seed_arg $ json_arg)
 
 let topo_t =
   let name_arg =

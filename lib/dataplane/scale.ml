@@ -62,7 +62,7 @@ let dispatch_cycles () =
   Perf.Cost_vec.eval_exn [] Dispatch.cost_vec Perf.Metric.Cycles
 
 let best_of ~reps f =
-  let rec go i best = if i = 0 then best else go (i - 1) (Float.min best (f ())) in
+  let rec go i best = if i <= 0 then best else go (i - 1) (Float.min best (f ())) in
   go reps infinity
 
 let run ?(levels = [ 1; 2; 4 ]) ?(packets = 4096) ?(reps = 3) ?(seed = 42) nf
@@ -165,3 +165,99 @@ let pp ppf r =
            l.shards l.predicted_pps l.measured_pps l.error_pct
            l.contract.Perf.Scale.skew_pct l.parity_ok))
     r.levels
+
+(* ---- The scale suite: one driver, one verdict, for every front-end ---- *)
+
+type suite = {
+  cores : int;
+  results : result list;
+  affinity : Oracle.report list;
+  failures : string list;
+  misses : string list;
+}
+
+let error_bound_pct = 50.
+
+(* Correctness first — parity per NF and level, then affinity — then,
+   on a multicore host only, each NF's 2-shard speedup and prediction
+   error.  On one core the contract itself predicts no speedup (the
+   1/cores floor), so the performance gates would be vacuous there;
+   beyond 2 shards the unmodelled cross-domain effects grow with the
+   shard count, so the error bound is stated at 2. *)
+let verdict ~cores results affinity =
+  let msg = Printf.sprintf in
+  let diverged r =
+    List.filter_map
+      (fun l ->
+        if l.parity_ok then None
+        else Some (msg "scale: %s diverged at %d shards" r.nf l.shards))
+      r.levels
+  in
+  let missed r =
+    match List.find_opt (fun l -> l.shards = 2) r.levels with
+    | Some l when cores >= 2 ->
+        List.filter_map Fun.id
+          [
+            (if l.measured_pps > r.baseline_pps then None
+             else
+               Some
+                 (msg "scale: %s shows no speedup at 2 shards on a %d-core host"
+                    r.nf cores));
+            (if Float.abs l.error_pct <= error_bound_pct then None
+             else
+               Some
+                 (msg
+                    "scale: %s prediction off by %.0f%% at 2 shards (bound \
+                     %.0f%%)"
+                    r.nf l.error_pct error_bound_pct));
+          ]
+    | _ -> []
+  in
+  let affinity =
+    if List.for_all Oracle.ok affinity then []
+    else [ "scale: dispatcher affinity oracle found violations" ]
+  in
+  (List.concat_map diverged results @ affinity, List.concat_map missed results)
+
+let run_suite ?(levels = [ 1; 2; 4 ]) ?packets ?reps ?seed nfs =
+  let results = List.map (run ~levels ?packets ?reps ?seed) nfs in
+  let shards = max 2 (List.fold_left max 1 levels) in
+  let affinity =
+    [ Oracle.conntrack_affinity ~shards (); Oracle.nat_affinity ~shards () ]
+  in
+  let cores = Domain.recommended_domain_count () in
+  let failures, misses = verdict ~cores results affinity in
+  { cores; results; affinity; failures; misses }
+
+let suite_json s =
+  let open Perf.Json in
+  [
+    ("artifact", String "scale");
+    ("cores", Int s.cores);
+    ("error_bound_pct_at_2_shards", Int (int_of_float error_bound_pct));
+    ("nfs", List (List.map to_json s.results));
+    ( "affinity",
+      List
+        (List.map
+           (fun (r : Oracle.report) ->
+             Obj
+               [
+                 ("nf", String r.Oracle.nf);
+                 ("shards", Int r.Oracle.shards);
+                 ("checked", Int r.Oracle.checked);
+                 ("violations", Int (List.length r.Oracle.violations));
+               ])
+           s.affinity) );
+  ]
+
+let pp_suite ppf s =
+  let note ppf cores =
+    if cores < 2 then
+      Fmt.pf ppf
+        "@,@,  NOTE: single-core environment — the contract predicts no \
+         speedup here@,  (1/cores floor); speedup and error-bound gates \
+         require a multicore host."
+  in
+  Fmt.pf ppf "@[<v>%a@,@,%a%a@]" (Fmt.list ~sep:Fmt.cut pp) s.results
+    (Fmt.list ~sep:Fmt.cut (fun ppf r -> Fmt.pf ppf "  @[<v>%a@]" Oracle.pp r))
+    s.affinity note s.cores

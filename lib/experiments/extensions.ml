@@ -127,16 +127,7 @@ let chain3_graph () =
 let chain3 ppf =
   let chain = Topo.Analysis.run (chain3_graph ()) in
   let worst = Topo.Analysis.worst chain in
-  let naive =
-    Cost_vec.sum
-      [
-        Bolt.Pipeline.worst_case (analyze Nf.Firewall.program no_contracts);
-        Bolt.Pipeline.worst_case
-          (analyze Nf.Policer.program (Nf.Policer.contracts ()));
-        Bolt.Pipeline.worst_case
-          (analyze Nf.Static_router.program no_contracts);
-      ]
-  in
+  let naive = Topo.Analysis.naive chain in
   let binding = [ (Pcv.ip_options, 3) ] in
   let ic vec = Perf_expr.eval_exn binding (Cost_vec.get vec Metric.Instructions) in
   Fmt.pf ppf

@@ -121,11 +121,7 @@ let contract_of_string s =
   let* json = of_string s in
   contract_of_json json
 
-let write_contract ~path c =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (contract_to_string ~indent:true c))
+let write_contract ~path c = write_file ~path (contract_to_json c)
 
 let read_contract ~path =
   let ic = open_in path in

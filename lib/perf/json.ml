@@ -75,6 +75,14 @@ let to_string ?(indent = false) t =
 
 let pp ppf t = Fmt.string ppf (to_string ~indent:true t)
 
+let write_file ~path t =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc (to_string ~indent:true t);
+      output_char oc '\n')
+
 (* ---- Parser ------------------------------------------------------------ *)
 
 exception Parse_error of int * string

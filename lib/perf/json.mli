@@ -16,6 +16,10 @@ type t =
 val to_string : ?indent:bool -> t -> string
 val pp : Format.formatter -> t -> unit
 
+val write_file : path:string -> t -> unit
+(** Writes [to_string ~indent:true] and a trailing newline to [path] —
+    the one writer for every exported JSON artifact. *)
+
 val of_string : string -> (t, string) result
 (** Parses the subset emitted by {!to_string} (no floats); errors carry a
     character position. *)

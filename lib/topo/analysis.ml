@@ -213,6 +213,18 @@ let run ?max_paths ?(models = Bolt.Ds_models.default) graph =
 
 let worst t = Cost_vec.max_upper_list (List.map (fun r -> r.cost) t.routes)
 
+let naive t =
+  Cost_vec.sum
+    (List.map
+       (fun (_, (e : Nf.Registry.entry)) ->
+         Bolt.Pipeline.worst_case
+           (Bolt.Pipeline.analyze
+              ~config:
+                Bolt.Pipeline.Config.(
+                  default |> with_contracts e.Nf.Registry.contracts)
+              e.Nf.Registry.program))
+       t.entries)
+
 let egresses t =
   List.fold_left
     (fun acc r -> if List.mem r.egress acc then acc else acc @ [ r.egress ])

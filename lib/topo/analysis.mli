@@ -54,6 +54,10 @@ val run :
 val worst : t -> Perf.Cost_vec.t
 (** End-to-end bound over every route. *)
 
+val naive : t -> Perf.Cost_vec.t
+(** The sum of every node's standalone worst case — what an operator
+    without the joint walk would have to provision for. *)
+
 val equal_egress : egress -> egress -> bool
 val pp_egress : Format.formatter -> egress -> unit
 

@@ -252,11 +252,106 @@ let test_scale_run () =
   check_int "one shard predicts the baseline" 100
     l1.Dataplane.Scale.contract.Perf.Scale.predicted_speedup_pct;
   (* the JSON artifact is self-describing *)
-  match Dataplane.Scale.to_json r with
+  (match Dataplane.Scale.to_json r with
   | Perf.Json.Obj fields ->
       check_bool "provenance embedded" true
         (List.mem_assoc "provenance" fields)
-  | _ -> Alcotest.fail "to_json: expected an object"
+  | _ -> Alcotest.fail "to_json: expected an object");
+  (* the suite artifact both front-ends write *)
+  let s =
+    Dataplane.Scale.run_suite ~levels:[ 1; 2 ] ~packets:128 ~reps:1
+      [ "firewall" ]
+  in
+  Alcotest.(check (list string))
+    "suite keys"
+    [ "artifact"; "cores"; "error_bound_pct_at_2_shards"; "nfs"; "affinity" ]
+    (List.map fst (Dataplane.Scale.suite_json s));
+  check_int "affinity oracles at 2 shards" 2
+    (List.length
+       (List.filter
+          (fun (o : Dataplane.Oracle.report) -> o.Dataplane.Oracle.shards = 2)
+          s.Dataplane.Scale.affinity));
+  Alcotest.(check (list string)) "no correctness failure" []
+    s.Dataplane.Scale.failures
+
+(* ---- Scale verdict over hand-built results (no timing) --------------- *)
+
+let level ?(parity_ok = true) ?(error_pct = 0.) shards measured_pps =
+  {
+    Dataplane.Scale.shards;
+    contract =
+      Perf.Scale.derive ~nf:"fw" ~shards ~cores:2 ~per_packet_cycles:100
+        ~dispatch_cycles:0 ~shard_loads:(Array.make shards 1);
+    predicted_pps = measured_pps;
+    measured_pps;
+    parity_ok;
+    error_pct;
+  }
+
+let result nf levels =
+  {
+    Dataplane.Scale.nf;
+    packets = 64;
+    cores = 2;
+    baseline_pps = 1000.;
+    per_packet_cycles = 100;
+    dispatch_cycles = 10;
+    levels;
+  }
+
+let affinity violations =
+  { Dataplane.Oracle.nf = "nat"; shards = 2; checked = 8; violations }
+
+let verdict ~cores results =
+  Dataplane.Scale.verdict ~cores results [ affinity [] ]
+
+let check_msgs = Alcotest.(check (list string))
+
+let test_verdict_one_core () =
+  let slow = result "fw" [ level 1 1000.; level ~error_pct:300. 2 500. ] in
+  let failures, misses = verdict ~cores:1 [ slow ] in
+  check_msgs "no failures" [] failures;
+  check_msgs "no misses on one core" [] misses
+
+let test_verdict_no_speedup () =
+  let fast = result "nat" [ level 1 1000.; level 2 1800. ] in
+  let slow = result "fw" [ level 1 1000.; level 2 1000. ] in
+  let _, misses = verdict ~cores:2 [ fast; slow ] in
+  check_msgs "exactly the no-speedup miss"
+    [ "scale: fw shows no speedup at 2 shards on a 2-core host" ]
+    misses
+
+let test_verdict_error_bound () =
+  let off = result "fw" [ level 1 1000.; level ~error_pct:51. 2 1500. ] in
+  let _, misses = verdict ~cores:2 [ off ] in
+  check_msgs "error-bound miss"
+    [ "scale: fw prediction off by 51% at 2 shards (bound 50%)" ]
+    misses;
+  let within = result "fw" [ level 1 1000.; level ~error_pct:(-50.) 2 1500. ] in
+  check_msgs "50% is within the bound" [] (snd (verdict ~cores:2 [ within ]))
+
+let test_verdict_parity_first () =
+  let broken =
+    result "fw"
+      [
+        level 1 1000.;
+        level ~parity_ok:false 2 900.;
+        level ~parity_ok:false 4 900.;
+      ]
+  in
+  let failures, misses =
+    Dataplane.Scale.verdict ~cores:2 [ broken ] [ affinity [ "x" ] ]
+  in
+  check_msgs "parity per level, then affinity"
+    [
+      "scale: fw diverged at 2 shards";
+      "scale: fw diverged at 4 shards";
+      "scale: dispatcher affinity oracle found violations";
+    ]
+    failures;
+  check_msgs "the miss is still reported"
+    [ "scale: fw shows no speedup at 2 shards on a 2-core host" ]
+    misses
 
 let suite =
   [
@@ -287,4 +382,12 @@ let suite =
     Alcotest.test_case "oracle: NAT affinity" `Quick test_nat_oracle;
     Alcotest.test_case "scale: contract runner and artifact" `Quick
       test_scale_run;
+    Alcotest.test_case "scale verdict: one core disarms performance gates"
+      `Quick test_verdict_one_core;
+    Alcotest.test_case "scale verdict: no speedup at 2 shards" `Quick
+      test_verdict_no_speedup;
+    Alcotest.test_case "scale verdict: error beyond the 50% bound" `Quick
+      test_verdict_error_bound;
+    Alcotest.test_case "scale verdict: correctness failures come first"
+      `Quick test_verdict_parity_first;
   ]
