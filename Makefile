@@ -16,7 +16,8 @@ test-one-core:
 # What the CI lint job runs: formatting (a no-op without ocamlformat
 # installed), a warning-clean build of everything (dune emits nothing when clean), the
 # build-flags guard, the single-walker guard — the only IR traversal lives in lib/ir —
-# and the one-scale-driver guard over the front-ends.
+# the one-scale-driver guard over the front-ends, and the one-domain guard that keeps
+# Exec.Pool out of contract, tuner and topology analysis.
 DEV_FLAGS := -w @1..3@5..28@30..39@43@46..47@49..57@61..62-40 -strict-sequence -strict-formats -short-paths -keep-locs
 HASH_MAP_CMX := _build/default/lib/dslib/.dslib.objs/native/dslib__Hash_map.cmx
 
@@ -56,6 +57,14 @@ lint:
 	  echo "lint: bolt scale and bench scale must go through the one scale"; \
 	  echo "      driver (Dataplane.Scale.run_suite), not run the NFs, the"; \
 	  echo "      affinity oracles or the gates themselves:"; \
+	  echo "$$hits"; exit 1; \
+	fi
+	@hits=$$(grep -rnw "Pool" lib/bolt lib/tuner lib/topo bin \
+	  --include='*.ml' --include='*.mli' || true); \
+	if [ -n "$$hits" ]; then \
+	  echo "lint: contract, tuner and topology analysis run on the calling"; \
+	  echo "      domain; keep Exec.Pool out of lib/bolt, lib/tuner, lib/topo"; \
+	  echo "      and bin/ (domains are for whole measurements: Scenarios):"; \
 	  echo "$$hits"; exit 1; \
 	fi
 	@hits=$$(grep -rn "Interp\.run" lib/distiller lib/tuner lib/topo \

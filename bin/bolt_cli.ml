@@ -1,14 +1,9 @@
 (* The BOLT command-line tool: derive and print performance contracts. *)
 
-let analyze ?jobs (entry : Nf.Registry.entry) =
+let analyze (entry : Nf.Registry.entry) =
   let config =
     Bolt.Pipeline.Config.(
       default |> with_contracts entry.Nf.Registry.contracts)
-  in
-  let config =
-    match jobs with
-    | None -> config
-    | Some j -> Bolt.Pipeline.Config.with_jobs j config
   in
   Bolt.Pipeline.analyze ~config entry.Nf.Registry.program
 
@@ -25,10 +20,10 @@ let dump_obs trace_path stats =
     Fmt.epr "@.== metrics ==@.%a" Obs.Metrics.pp ()
   end
 
-let contract_cmd nf_name metric json_path jobs trace_path stats =
+let contract_cmd nf_name metric json_path trace_path stats =
   if trace_path <> None || stats then Obs.enable ();
   let entry = Nf.Registry.find nf_name in
-  let t = analyze ?jobs entry in
+  let t = analyze entry in
   let contract = Bolt.Pipeline.contract t ~classes:entry.Nf.Registry.classes in
   (match json_path with
   | Some path ->
@@ -57,10 +52,10 @@ let contract_cmd nf_name metric json_path jobs trace_path stats =
     entry.Nf.Registry.classes;
   dump_obs trace_path stats
 
-let stats_cmd nf_name jobs trace_path =
+let stats_cmd nf_name trace_path =
   Obs.enable ();
   let entry = Nf.Registry.find nf_name in
-  let t = analyze ?jobs entry in
+  let t = analyze entry in
   let cache = Solver.Cache.stats () in
   Fmt.pr "pipeline for %s: %d feasible paths, %d forks pruned, %d unsolved@."
     nf_name
@@ -163,12 +158,12 @@ let fuzz_cmd seed runs oracle_names stateful list_only json_path =
 (* Contract-guided autotuning: enumerate a deterministic grid of specs,
    price each point analytically, print the Pareto front and validate
    the winner by specialized replay. *)
-let tune_cmd nf_name backends capacities packets jobs seed json_path =
+let tune_cmd nf_name backends capacities packets seed json_path =
   let opt = function [] -> None | l -> Some l in
   let result =
     try
       Tuner.Tune.run ~nf:nf_name ?backends:(opt backends)
-        ?capacities:(opt capacities) ~packets ?jobs ~seed ()
+        ?capacities:(opt capacities) ~packets ~seed ()
     with Invalid_argument msg ->
       Fmt.epr "tune: %s@." msg;
       exit 1
@@ -292,15 +287,6 @@ let json_arg =
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
         ~doc:"Also write the contract as JSON to $(docv).")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the analysis (default: BOLT_JOBS or the \
-           core count).")
 
 let trace_arg =
   Arg.(
@@ -435,9 +421,9 @@ let fuzz_t =
        ~doc:
          "Property-based soundness fuzzing: generative NF/workload \
           testing against differential oracles (contract \
-          conservativeness, jobs determinism, cache equivalence, obs \
-          neutrality), with automatic shrinking; exits 1 on any \
-          counterexample.  --stateful switches to the model-based \
+          conservativeness, cache equivalence, obs neutrality), with \
+          automatic shrinking; exits 1 on any counterexample.  \
+          --stateful switches to the model-based \
           command-sequence oracles over the dslib structures")
     Term.(
       const fuzz_cmd $ seed_arg $ runs_arg $ oracle_arg $ stateful_flag
@@ -447,8 +433,8 @@ let contract_t =
   Cmd.v
     (Cmd.info "contract" ~doc:"Derive an NF's performance contract")
     Term.(
-      const contract_cmd $ nf_arg $ metric_arg $ json_arg $ jobs_arg
-      $ trace_arg $ stats_flag)
+      const contract_cmd $ nf_arg $ metric_arg $ json_arg $ trace_arg
+      $ stats_flag)
 
 let stats_t =
   Cmd.v
@@ -456,7 +442,7 @@ let stats_t =
        ~doc:
          "Run the analysis with observability on and print per-phase \
           span timings, pipeline counters and solver-cache statistics")
-    Term.(const stats_cmd $ nf_arg $ jobs_arg $ trace_arg)
+    Term.(const stats_cmd $ nf_arg $ trace_arg)
 
 let diff_t =
   let pos n doc =
@@ -541,7 +527,7 @@ let tune_t =
           specialized replay of the same workload")
     Term.(
       const tune_cmd $ nf_arg $ backends_arg $ capacities_arg $ packets_arg
-      $ jobs_arg $ seed_arg $ json_arg)
+      $ seed_arg $ json_arg)
 
 let scale_t =
   let nf_arg =

@@ -24,7 +24,6 @@ module Config = struct
     models : Symbex.Model.registry;
     contracts : Ds_contract.library;
     cycle_model : unit -> Hw.Model.t;
-    jobs : int option;
     max_paths : int;
     obs : bool;
   }
@@ -34,7 +33,6 @@ module Config = struct
       models = Ds_models.default;
       contracts = Ds_contract.library [];
       cycle_model = Hw.Model.conservative;
-      jobs = None;
       max_paths = 8192;
       obs = false;
     }
@@ -42,7 +40,7 @@ module Config = struct
   let with_models models t = { t with models }
   let with_contracts contracts t = { t with contracts }
   let with_cycle_model cycle_model t = { t with cycle_model }
-  let with_jobs jobs t = { t with jobs = Some jobs }
+  let with_jobs _ t = t
   let with_max_paths max_paths t = { t with max_paths }
   let with_obs obs t = { t with obs }
 end
@@ -284,10 +282,7 @@ let analyze ~(config : Config.t) program =
               in
               Some { path; cost; replay; packet; stubs; in_port; now })
   in
-  let per_path =
-    Exec.Pool.map ?jobs:config.Config.jobs solve_path
-      engine.Symbex.Engine.paths
-  in
+  let per_path = List.map solve_path engine.Symbex.Engine.paths in
   let unsolved =
     List.length (List.filter Option.is_none per_path)
   in

@@ -35,7 +35,7 @@ type t = {
 
     {[
       Pipeline.analyze
-        ~config:Pipeline.Config.(default |> with_contracts c |> with_jobs 4)
+        ~config:Pipeline.Config.(default |> with_contracts c |> with_obs true)
         program
     ]} *)
 module Config : sig
@@ -49,8 +49,6 @@ module Config : sig
     cycle_model : unit -> Hw.Model.t;
         (** prices the stateless trace (default {!Hw.Model.conservative};
             {!Hw.Model.dram_only} for the hardware-model ablation) *)
-    jobs : int option;
-        (** domain-pool width; [None] = {!Exec.Pool.default_jobs} *)
     max_paths : int;  (** symbolic-execution path budget *)
     obs : bool;
         (** [true] switches the {!Obs} runtime on before the run (it is
@@ -64,6 +62,10 @@ module Config : sig
   val with_contracts : Perf.Ds_contract.library -> t -> t
   val with_cycle_model : (unit -> Hw.Model.t) -> t -> t
   val with_jobs : int -> t -> t
+  (** Ignored: returns the configuration unchanged.  Derivation runs on
+      the calling domain; this survives only for callers written when
+      the pipeline had a domain-pool width. *)
+
   val with_max_paths : int -> t -> t
   val with_obs : bool -> t -> t
 end
@@ -72,19 +74,19 @@ val analyze : config:Config.t -> Ir.Program.t -> t
 (** Run the full pipeline (explore, witness-solve, replay, price) under
     [config].
 
-    Paths are independent, so witness solving and concrete replay fan
-    out over an {!Exec.Pool} of [config.jobs] domains (default
-    {!Exec.Pool.default_jobs}, i.e. [BOLT_JOBS] or the hardware's
-    recommended domain count).  The result — path order, contracts,
-    witnesses — is bit-identical for every [jobs] value: each task
-    builds its own meter and hardware model, and the shared solver
-    cache's verdicts are a pure function of the constraint set.
+    The whole run stays on the calling domain: each path is solved,
+    replayed and priced in turn, in exploration order.  A derivation
+    costs well under a millisecond, less than spawning and joining a
+    second domain would, and a second domain would also tax every
+    minor collection (DESIGN §6).  Each path builds its own meter and
+    hardware model, and the shared solver cache's verdicts are a pure
+    function of the constraint set, so callers may still run whole
+    analyses on several domains at once.
 
     When the {!Obs} runtime is enabled (via [config.obs] or
     {!Obs.enable}), the run is recorded as an [analyze] span containing
-    the [explore] phase and, per path, [solve]/[replay]/[price] spans —
-    nested correctly even across pool domains — plus the
-    symbex/solver/interp/pool counters. *)
+    the [explore] phase and, per path, [solve]/[replay]/[price] spans,
+    plus the symbex/solver/interp counters. *)
 
 val path_count : t -> int
 

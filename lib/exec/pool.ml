@@ -1,7 +1,8 @@
-(* A small fixed-size domain pool with a deterministic ordered [map].
+(* One way to run domains: [Workers], a fixed set of parked domains,
+   and a deterministic ordered [map] on top of it.
 
-   Work items are claimed with an atomic counter and results land in a
-   slot array indexed by item position, so the output order (and any
+   [map]'s items are claimed with an atomic counter and results land in
+   a slot array indexed by item position, so the output order (and any
    exception raised) is independent of scheduling.  Workers must be
    isolated: [f] may share immutable data freely but must create its own
    mutable state (meters, hardware models, RNGs) per item. *)
@@ -42,11 +43,11 @@ module Workers = struct
   (* One long-lived domain per worker index, parked on a condition
      variable between jobs.  This is the steady-state shape of a sharded
      dataplane: spawning is paid once at [create], so a timed drain sees
-     only dispatch + execution, never domain start-up.  Unlike [map]
-     there is no clamp to the hardware thread count — a 4-shard plan on
-     a 1-core host still runs 4 domains (timesharing), which is exactly
-     what the scalability contract's [max(f, 1/cores)] bottleneck term
-     models. *)
+     only dispatch + execution, never domain start-up.  There is no
+     clamp to the hardware thread count — a 4-shard plan on a 1-core
+     host still runs 4 domains (timesharing), which is exactly what the
+     scalability contract's [max(f, 1/cores)] bottleneck term models.
+     [map] stands up a set per call and stops it before returning. *)
 
   type state = Idle | Job of (unit -> unit) | Stop
 
@@ -102,7 +103,7 @@ module Workers = struct
         (fun i c ->
           Domain.spawn (fun () ->
               Obs.Span.adopt parent_span @@ fun () ->
-              Obs.Span.with_ ~cat:"pool" "pool.shard_worker"
+              Obs.Span.with_ ~cat:"pool" "pool.worker"
                 ~args:(fun () -> [ ("worker", string_of_int (i + 1)) ])
               @@ fun () -> serve c))
         cells
@@ -170,40 +171,25 @@ let map ?jobs f items =
   let jobs = min jobs n in
   Obs.Metrics.add c_queued n;
   Obs.Metrics.set_max g_jobs jobs;
-  let run_item x =
-    let v = f x in
-    Obs.Metrics.incr c_completed;
-    v
+  let slots = Array.make n Empty in
+  let next = Atomic.make 0 in
+  (* every worker index runs the same claim loop; a failing item is
+     recorded in its slot and the loop moves on, so [harvest] can
+     surface the lowest-indexed failure whichever domain hit it *)
+  let rec claim () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      (slots.(i) <-
+        (match f items.(i) with
+        | v ->
+            Obs.Metrics.incr c_completed;
+            Value v
+        | exception e -> Error (e, Printexc.get_raw_backtrace ())));
+      claim ()
+    end
   in
-  if jobs <= 1 then Array.to_list (Array.map run_item items)
-  else begin
-    let slots = Array.make n Empty in
-    let next = Atomic.make 0 in
-    (* Workers adopt the submitting domain's current span, so the spans
-       their tasks open nest under the phase that fanned the work out. *)
-    let parent_span = Obs.Span.current () in
-    let worker ~index () =
-      Obs.Span.adopt parent_span @@ fun () ->
-      Obs.Span.with_ ~cat:"pool" "pool.worker"
-        ~args:(fun () -> [ ("worker", string_of_int index) ])
-      @@ fun () ->
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          (slots.(i) <-
-            (match run_item items.(i) with
-            | v -> Value v
-            | exception e -> Error (e, Printexc.get_raw_backtrace ())));
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let helpers =
-      List.init (jobs - 1) (fun i ->
-          Domain.spawn (fun () -> worker ~index:(i + 1) ()))
-    in
-    worker ~index:0 ();
-    List.iter Domain.join helpers;
-    harvest slots
-  end
+  let workers = Workers.create (jobs - 1) in
+  Fun.protect
+    ~finally:(fun () -> Workers.stop workers)
+    (fun () -> Workers.run workers (fun _ -> claim ()));
+  harvest slots

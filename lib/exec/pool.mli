@@ -1,10 +1,11 @@
-(** A fixed-size domain pool with a deterministic ordered [map].
+(** Worker domains: {!Workers}, a fixed set of parked domains, and a
+    deterministic ordered [map] that runs on a set of its own.
 
-    The pool backs the parallel BOLT pipeline: per-path witness solving
-    and concrete replay, and the evaluation-scenario loop.  Results are
-    returned in input order and exceptions are re-raised for the
-    lowest-indexed failing item, so output is independent of how the
-    items were scheduled across domains. *)
+    [map] backs the coarse fan-outs — the evaluation-scenario loop, one
+    whole measurement per item.  Contract derivation stays on the
+    calling domain.  Results are returned in input order and exceptions
+    are re-raised for the lowest-indexed failing item, so output is
+    independent of how the items were scheduled across domains. *)
 
 val default_jobs : unit -> int
 (** The [BOLT_JOBS] environment variable if set to a positive integer,
@@ -12,7 +13,9 @@ val default_jobs : unit -> int
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ?jobs f items] is [List.map f items], computed on
-    [min jobs (length items)] domains (default {!default_jobs}).
+    [min jobs (length items)] domains (default {!default_jobs}): a
+    {!Workers} set of that size is created for the call and stopped
+    before it returns, so no domain stays parked between calls.
     [jobs <= 1] runs serially in the calling domain, with no spawns.
 
     [f] is applied at most once per item.  It must not share mutable

@@ -25,9 +25,9 @@ let distinct_bucket_flows rng ~hash n =
   in
   draw [] n 10_000_000
 
-let analyze_nf ?jobs program contracts =
+let analyze_nf program contracts =
   Bolt.Pipeline.analyze
-    ~config:{ Bolt.Pipeline.Config.default with contracts; jobs }
+    ~config:{ Bolt.Pipeline.Config.default with contracts }
     program
 
 let find_class classes name =
@@ -69,9 +69,9 @@ let measure_specs ?jobs specs =
 
 (* ---- NAT -------------------------------------------------------------- *)
 
-let nat_specs ?(params = default_params) ?jobs () =
+let nat_specs ?(params = default_params) () =
   let program = Nf.Nat.program in
-  let pipeline = analyze_nf ?jobs program (Nf.Nat.contracts ()) in
+  let pipeline = analyze_nf program (Nf.Nat.contracts ()) in
   let cfg = Nf.Nat.default_config in
   let classes = Nf.Nat.classes ~config:cfg () in
   let rng = Workload.Prng.create ~seed:params.seed in
@@ -152,13 +152,13 @@ let nat_specs ?(params = default_params) ?jobs () =
   in
   [ nat1; nat2; nat3; nat4 ]
 
-let nat_rows ?params ?jobs () = measure_specs ?jobs (nat_specs ?params ?jobs ())
+let nat_rows ?params ?jobs () = measure_specs ?jobs (nat_specs ?params ())
 
 (* ---- Bridge ------------------------------------------------------------ *)
 
-let bridge_specs ?(params = default_params) ?jobs () =
+let bridge_specs ?(params = default_params) () =
   let program = Nf.Bridge.program in
-  let pipeline = analyze_nf ?jobs program (Nf.Bridge.contracts ()) in
+  let pipeline = analyze_nf program (Nf.Bridge.contracts ()) in
   let cfg = Nf.Bridge.default_config in
   let classes = Nf.Bridge.classes ~config:cfg () in
   let rng = Workload.Prng.create ~seed:(params.seed + 1) in
@@ -246,13 +246,13 @@ let bridge_specs ?(params = default_params) ?jobs () =
   [ br1; br2; br3 ]
 
 let bridge_rows ?params ?jobs () =
-  measure_specs ?jobs (bridge_specs ?params ?jobs ())
+  measure_specs ?jobs (bridge_specs ?params ())
 
 (* ---- Load balancer ------------------------------------------------------ *)
 
-let lb_specs ?(params = default_params) ?jobs () =
+let lb_specs ?(params = default_params) () =
   let program = Nf.Maglev.program in
-  let pipeline = analyze_nf ?jobs program (Nf.Maglev.contracts ()) in
+  let pipeline = analyze_nf program (Nf.Maglev.contracts ()) in
   let cfg = Nf.Maglev.default_config in
   let classes = Nf.Maglev.classes ~config:cfg () in
   let rng = Workload.Prng.create ~seed:(params.seed + 2) in
@@ -345,7 +345,7 @@ let lb_specs ?(params = default_params) ?jobs () =
   in
   [ lb1; lb2; lb3; lb4; lb5 ]
 
-let lb_rows ?params ?jobs () = measure_specs ?jobs (lb_specs ?params ?jobs ())
+let lb_rows ?params ?jobs () = measure_specs ?jobs (lb_specs ?params ())
 
 (* ---- LPM router ---------------------------------------------------------- *)
 
@@ -356,9 +356,9 @@ let lpm_routes =
   @ List.init 32 (fun i ->
         (Net.Ipv4.addr_of_parts 100 1 i 128, 28, (i mod 4) + 1))
 
-let lpm_specs ?(params = default_params) ?jobs () =
+let lpm_specs ?(params = default_params) () =
   let program = Nf.Router.program `Dir24_8 in
-  let pipeline = analyze_nf ?jobs program (Nf.Router.contracts `Dir24_8) in
+  let pipeline = analyze_nf program (Nf.Router.contracts `Dir24_8) in
   let classes = Nf.Router.classes `Dir24_8 in
   let rng = Workload.Prng.create ~seed:(params.seed + 3) in
   let make label long =
@@ -381,13 +381,13 @@ let lpm_specs ?(params = default_params) ?jobs () =
   [ make "LPM1" true; make "LPM2" false ]
 
 let lpm_rows ?params ?jobs () =
-  measure_specs ?jobs (lpm_specs ?params ?jobs ())
+  measure_specs ?jobs (lpm_specs ?params ())
 
 (* ---- Conntrack firewall (extension NF) --------------------------------- *)
 
-let conntrack_specs ?(params = default_params) ?jobs () =
+let conntrack_specs ?(params = default_params) () =
   let program = Nf.Conntrack.program in
-  let pipeline = analyze_nf ?jobs program (Nf.Conntrack.contracts ()) in
+  let pipeline = analyze_nf program (Nf.Conntrack.contracts ()) in
   let cfg = Nf.Conntrack.default_config in
   let classes = Nf.Conntrack.classes ~config:cfg () in
   let rng = Workload.Prng.create ~seed:(params.seed + 4) in
@@ -459,7 +459,7 @@ let conntrack_specs ?(params = default_params) ?jobs () =
   [ ct1; ct2; ct3; ct4; ct5 ]
 
 let conntrack_rows ?params ?jobs () =
-  measure_specs ?jobs (conntrack_specs ?params ?jobs ())
+  measure_specs ?jobs (conntrack_specs ?params ())
 
 (* ---- All 14 rows --------------------------------------------------------- *)
 
@@ -470,10 +470,10 @@ let figure1_table3 ?(params = default_params) ?jobs () =
      at once — it is the bulk of the wall-clock and touches no RNG. *)
   let groups =
     [
-      ("nat", fun () -> nat_specs ~params ?jobs ());
-      ("bridge", fun () -> bridge_specs ~params ?jobs ());
-      ("lb", fun () -> lb_specs ~params ?jobs ());
-      ("lpm", fun () -> lpm_specs ~params ?jobs ());
+      ("nat", fun () -> nat_specs ~params ());
+      ("bridge", fun () -> bridge_specs ~params ());
+      ("lb", fun () -> lb_specs ~params ());
+      ("lpm", fun () -> lpm_specs ~params ());
     ]
   in
   let build (name, g) =

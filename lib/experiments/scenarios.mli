@@ -10,7 +10,9 @@
     draws, adversarial state filling — order-sensitive) and a
     measurement phase that fans out over an {!Exec.Pool}: rows are
     bit-identical for every [jobs] value, and [jobs:1] runs entirely in
-    the calling domain. *)
+    the calling domain.  [jobs] sizes only that fan-out, where one item
+    is a whole group or a whole measurement; each group's contract is
+    derived on the domain that builds it. *)
 
 type params = {
   patho_capacity : int;  (** table size for the mass-expiry scenarios *)

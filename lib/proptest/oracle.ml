@@ -111,12 +111,6 @@ let pp_violation ppf v =
     (Perf.Metric.to_string v.metric)
     v.bound v.measured Perf.Pcv.pp_binding v.binding
 
-let with_obs_restored f =
-  let was = Obs.enabled () in
-  Fun.protect
-    ~finally:(fun () -> if not was then Obs.disable ())
-    f
-
 (* ---- Oracle 1: contract conservativeness ----------------------------- *)
 
 let conservativeness ?(weaken = Fun.id) () =
@@ -229,45 +223,7 @@ let conservativeness ?(weaken = Fun.id) () =
   in
   { name; run }
 
-(* ---- Oracle 2: jobs determinism -------------------------------------- *)
-
-let real_analyze ~config program = Bolt.Pipeline.analyze ~config program
-
-let jobs_determinism ?(analyze = real_analyze) () =
-  let name = "jobs_determinism" in
-  let run ~seed =
-    let rng = P.create ~seed in
-    let subject = pick_subject rng in
-    let program = subject_program subject in
-    let base = subject_config subject in
-    let knobs = Gen_config.gen rng in
-    let jobs = max 2 knobs.Gen_config.jobs in
-    with_obs_restored @@ fun () ->
-    let serial =
-      fingerprint
-        (analyze ~config:(Bolt.Pipeline.Config.with_jobs 1 base) program)
-    in
-    let parallel =
-      Gen_config.with_cache_capacity knobs (fun () ->
-          fingerprint
-            (analyze
-               ~config:
-                 (Gen_config.apply
-                    { knobs with Gen_config.jobs }
-                    base)
-               program))
-    in
-    if String.equal serial parallel then Pass
-    else
-      fail name seed
-        "%s: jobs:1 and jobs:%d disagree (%s)@.%s"
-        (subject_name subject) jobs
-        (Gen_config.describe knobs)
-        (first_diff serial parallel)
-  in
-  { name; run }
-
-(* ---- Oracle 3: cache equivalence ------------------------------------- *)
+(* ---- Oracle 2: cache equivalence ------------------------------------- *)
 
 let verdict_kind = function
   | Solver.Solve.Sat _ -> "sat"
@@ -342,18 +298,18 @@ let cache_equivalence ?(check_cached = fun cs -> Solver.Cache.check cs) () =
       sweep 1 @ sweep 2
     in
     let restore () =
-      Solver.Cache.set_capacity Gen_config.default_cache_capacity;
+      Solver.Cache.set_capacity Solver.Cache.default_capacity;
       Solver.Cache.reset ()
     in
     Fun.protect ~finally:restore @@ fun () ->
-    let full = mismatches Gen_config.default_cache_capacity in
+    let full = mismatches Solver.Cache.default_capacity in
     let starved = mismatches 2 in
     match full @ starved with
     | [] -> Pass
     | (pass_idx, i, want, got) :: _ ->
         let regime = if full <> [] then "enabled" else "capacity-starved" in
         let capacity =
-          if full <> [] then Gen_config.default_cache_capacity else 2
+          if full <> [] then Solver.Cache.default_capacity else 2
         in
         let bad_set = List.nth sets i in
         (* shrink the constraint set that disagreed *)
@@ -377,7 +333,9 @@ let cache_equivalence ?(check_cached = fun cs -> Solver.Cache.check cs) () =
   in
   { name; run }
 
-(* ---- Oracle 4: obs neutrality ---------------------------------------- *)
+(* ---- Oracle 3: obs neutrality ---------------------------------------- *)
+
+let real_analyze ~config program = Bolt.Pipeline.analyze ~config program
 
 let obs_neutrality ?(analyze = real_analyze) () =
   let name = "obs_neutrality" in
@@ -406,7 +364,7 @@ let obs_neutrality ?(analyze = real_analyze) () =
   in
   { name; run }
 
-(* ---- Oracle 5: concrete/symbex agreement ------------------------------ *)
+(* ---- Oracle 4: concrete/symbex agreement ------------------------------ *)
 
 let real_explore ~concrete ~models program =
   Symbex.Engine.explore ~concrete ~models program
@@ -737,7 +695,6 @@ let stateful_names () = List.map (fun o -> o.name) (stateful ())
 let all () =
   [
     conservativeness ();
-    jobs_determinism ();
     cache_equivalence ();
     obs_neutrality ();
     concrete_symbex_agreement ();

@@ -8,8 +8,6 @@
     - {b conservativeness} — every packet's metered cost is bounded by
       the contract's worst case evaluated at that packet's own PCVs
       (paper §2.2, the defining guarantee);
-    - {b jobs-determinism} — [analyze] output is bit-identical at
-      [jobs:1] and [jobs:n];
     - {b cache-equivalence} — solver verdicts are identical with the
       cache disabled, enabled, and capacity-starved into eviction churn;
     - {b obs-neutrality} — contract output is unchanged by tracing;
@@ -48,11 +46,6 @@ val conservativeness :
   ?weaken:(Perf.Cost_vec.t -> Perf.Cost_vec.t) -> unit -> t
 (** [weaken] post-processes the analysed worst-case bound (default
     identity); tests pass a deliberately-too-small bound. *)
-
-val jobs_determinism :
-  ?analyze:(config:Bolt.Pipeline.Config.t -> Ir.Program.t -> Bolt.Pipeline.t) ->
-  unit ->
-  t
 
 val cache_equivalence :
   ?check_cached:(Solver.Constr.t list -> Solver.Solve.result) -> unit -> t

@@ -13,8 +13,8 @@
    second-chance (clock) policy — keys cycle through a FIFO, a hit marks
    an entry referenced, and the evictor skips referenced entries once
    before removing them — an O(1)-amortized approximation of LRU.
-   Eviction only ever forgets a verdict, never changes one, so
-   determinism across [--jobs] levels is unaffected.
+   Eviction only ever forgets a verdict, never changes one, so analysis
+   output does not depend on the capacity.
 
    All table accesses are mutex-protected; the solve itself runs outside
    the lock, so concurrent misses on distinct keys proceed in parallel

@@ -3,17 +3,17 @@
     Verdicts are keyed on a normalized (sorted, deduplicated, [True]-
     free) fingerprint of the constraint set together with the solver
     budgets, and computed by solving that normalized set — so a cached
-    answer is a pure function of its key, and parallel pipeline runs
-    return exactly what a serial run would.  The symbolic engine's
-    per-fork feasibility checks and packet-class matching re-solve many
-    identical sets; this cache collapses them to one solve each.
+    answer is a pure function of its key, whichever domain asked first.
+    The symbolic engine's per-fork feasibility checks and packet-class
+    matching re-solve many identical sets; this cache collapses them to
+    one solve each.
 
     The table is global to the process, protected by a mutex, and
     bounded: past {!set_capacity} entries (default 32768), inserts evict
     with a second-chance (clock) policy that approximates LRU in O(1)
     amortized time.  Evicting forgets a verdict but never changes one —
     re-querying an evicted key re-solves to the identical answer — so
-    [--jobs] determinism is preserved at any capacity. *)
+    analysis output is the same at any capacity. *)
 
 type stats = {
   hits : int;
@@ -51,9 +51,12 @@ val mean_probe_cost : stats -> float
 val size : unit -> int
 (** Entries currently held; always [<= capacity]. *)
 
+val default_capacity : int
+(** The bound a fresh process starts with: 32768 entries. *)
+
 val set_capacity : int -> unit
 (** Change the bound (>= 1), evicting immediately if the table already
-    exceeds it.  The default is 32768 entries. *)
+    exceeds it.  The default is {!default_capacity}. *)
 
 val reset : unit -> unit
 (** Clear the table and zero the counters (capacity is kept). *)

@@ -39,12 +39,9 @@ let percentile sorted p =
   let rank = (p * n) + 99 in
   sorted.(max 0 ((rank / 100) - 1))
 
-let analyze ~jobs (entry : Nf.Registry.entry) =
+let analyze (entry : Nf.Registry.entry) =
   let config =
-    Bolt.Pipeline.Config.(
-      default
-      |> with_contracts entry.Nf.Registry.contracts
-      |> with_jobs jobs)
+    Bolt.Pipeline.Config.(default |> with_contracts entry.Nf.Registry.contracts)
   in
   Bolt.Pipeline.analyze ~config entry.Nf.Registry.program
 

@@ -19,7 +19,7 @@ val binding_of :
 val percentile : int array -> int -> int
 (** Nearest-rank percentile over a sorted column. *)
 
-val analyze : jobs:int -> Nf.Registry.entry -> Bolt.Pipeline.t
+val analyze : Nf.Registry.entry -> Bolt.Pipeline.t
 (** Run the certification pipeline for the entry's program against its
     contracts. *)
 

@@ -45,7 +45,6 @@ type validation = {
 type result = {
   nf : string;
   seed : int;
-  jobs : int;
   points : point list;
   front : point list;
   winner : point;
@@ -88,8 +87,7 @@ let validate ~worst entry stream =
   let cycles = sorted_column n (Distiller.Run.cycles t) in
   (ic, ma, cycles, !sound)
 
-let run ~nf ?backends ?capacities ?(packets = 512) ?(jobs = 1) ?(seed = 42) ()
-    =
+let run ~nf ?backends ?capacities ?(packets = 512) ?(seed = 42) () =
   let backends =
     match backends with Some l -> l | None -> Space.backends ~nf
   in
@@ -108,7 +106,7 @@ let run ~nf ?backends ?capacities ?(packets = 512) ?(jobs = 1) ?(seed = 42) ()
         let spec = Space.point ~nf ~backend:b ~capacity:min_cap in
         let entry = Nf.Registry.of_spec spec in
         let sample = Score.harvest entry (Space.copy_stream stream) in
-        let t = Score.analyze ~jobs entry in
+        let t = Score.analyze entry in
         (b, (sample, t, Bolt.Pipeline.worst_case t)))
       backends
   in
@@ -182,7 +180,7 @@ let run ~nf ?backends ?capacities ?(packets = 512) ?(jobs = 1) ?(seed = 42) ()
       sound;
     }
   in
-  { nf; seed; jobs; points; front; winner; validation }
+  { nf; seed; points; front; winner; validation }
 
 (* ---- rendering ---- *)
 
@@ -221,7 +219,6 @@ let to_json r =
       ( "provenance",
         Perf.Provenance.json ~packets:r.validation.packets () );
       ("seed", Perf.Json.Int r.seed);
-      ("jobs", Perf.Json.Int r.jobs);
       ("grid", Perf.Json.List (List.map json_of_point r.points));
       ( "front",
         Perf.Json.List (List.map (fun p -> Perf.Json.Int p.index) r.front) );

@@ -10,8 +10,7 @@
     specialized path, reporting predicted-vs-measured error.
 
     The result is a pure function of [(nf, backends, capacities,
-    packets, seed)]; [jobs] only parallelizes the pipeline and never
-    changes the output. *)
+    packets, seed)]. *)
 
 type point = {
   index : int;  (** position in grid-enumeration order *)
@@ -46,7 +45,6 @@ type validation = {
 type result = {
   nf : string;
   seed : int;
-  jobs : int;
   points : point list;  (** every evaluated point, enumeration order *)
   front : point list;  (** the non-dominated subset, same order *)
   winner : point;  (** min (p99 cycles, footprint, p50 cycles, index) *)
@@ -60,7 +58,6 @@ val run :
   ?backends:string list ->
   ?capacities:int list ->
   ?packets:int ->
-  ?jobs:int ->
   ?seed:int ->
   unit ->
   result

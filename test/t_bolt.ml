@@ -176,54 +176,15 @@ let test_compose_soundness_against_measured_chain () =
     (ev chain.Experiments.Exhibits.composite Metric.Cycles
     >= chain.Experiments.Exhibits.measured_chain.Experiments.Harness.cycles)
 
-let test_parallel_analyze_deterministic () =
-  (* analyze ~jobs:n must be bit-identical to the serial pipeline:
-     same contract, same witnesses, same costs, in the same path order *)
-  let fingerprint jobs (program, contracts, classes) =
-    let t =
-      Bolt.Pipeline.analyze
-        ~config:
-          Bolt.Pipeline.Config.(
-            default |> with_contracts contracts |> with_jobs jobs)
-        program
-    in
-    let witnesses =
-      List.map
-        (fun (a : Bolt.Pipeline.path_analysis) ->
-          (Net.Packet.to_bytes a.packet, a.stubs, a.in_port, a.now, a.cost))
-        t.Bolt.Pipeline.analyses
-    in
-    ( Fmt.str "%a" Contract.pp (Bolt.Pipeline.contract t ~classes),
-      witnesses,
-      t.Bolt.Pipeline.unsolved )
-  in
-  List.iter
-    (fun (name, case) ->
-      let serial = fingerprint 1 case in
-      List.iter
-        (fun jobs ->
-          check_bool
-            (Printf.sprintf "%s jobs:%d identical to serial" name jobs)
-            true
-            (fingerprint jobs case = serial))
-        [ 3; 4 ])
-    [
-      ("nat", (Nf.Nat.program, Nf.Nat.contracts (), Nf.Nat.classes ()));
-      ( "maglev",
-        (Nf.Maglev.program, Nf.Maglev.contracts (), Nf.Maglev.classes ()) );
-    ]
-
 let suite =
   [
     Alcotest.test_case "pipeline runs on every NF" `Slow test_pipeline_all_nfs;
-    Alcotest.test_case "parallel analyze is deterministic" `Slow
-      test_parallel_analyze_deterministic;
+    Alcotest.test_case "static router loop contract" `Quick
+      test_static_router_loop_contract;
     Alcotest.test_case "trie contract (Table 1 shape)" `Quick
       test_trie_contract_shape;
     Alcotest.test_case "nat contract (Table 6 shape)" `Slow
       test_nat_contract_shape;
-    Alcotest.test_case "static router loop contract" `Quick
-      test_static_router_loop_contract;
     Alcotest.test_case "bridge rehash cliff (Table 4)" `Slow
       test_bridge_rehash_cliff;
     Alcotest.test_case "worst case dominates classes" `Slow

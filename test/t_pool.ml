@@ -1,5 +1,6 @@
-(* Tests for the Exec.Pool domain pool and the parallel BOLT pipeline's
-   determinism guarantee (analyze ~jobs:n is bit-identical to serial). *)
+(* Tests for the Exec.Pool domain pool: [map]'s order and exception
+   rules at every width, the parked [Workers], and the solver cache the
+   symbolic engine shares. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

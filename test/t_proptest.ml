@@ -9,7 +9,7 @@
 
    - each differential oracle demonstrably CATCHES the class of bug it
      exists for, via the fault-injection hooks (a weakened bound, a
-     jobs-dependent analyze, a stale cache, an obs-dependent analyze) —
+     stale cache, an obs-dependent analyze) —
      an oracle that can't fail tests nothing;
 
    - the replay-divergence regression: the handcrafted programs below
@@ -138,25 +138,6 @@ let test_catches_weakened_bound () =
         (f.Proptest.Oracle.repro
         = Printf.sprintf "bolt fuzz --oracle conservativeness --seed %d --runs 1"
             f.Proptest.Oracle.seed)
-
-let test_catches_jobs_nondeterminism () =
-  (* an analyze whose output depends on which call it is: the oracle's
-     serial and parallel runs then disagree *)
-  let calls = ref 0 in
-  let analyze ~config program =
-    incr calls;
-    let t = Bolt.Pipeline.analyze ~config program in
-    if !calls mod 2 = 0 then
-      { t with Bolt.Pipeline.unsolved = t.Bolt.Pipeline.unsolved + 1 }
-    else t
-  in
-  let o = Proptest.Oracle.jobs_determinism ~analyze () in
-  match o.Proptest.Oracle.run ~seed:1 with
-  | Proptest.Oracle.Fail f ->
-      Alcotest.(check string)
-        "failure names its oracle" "jobs_determinism" f.Proptest.Oracle.oracle
-  | Proptest.Oracle.Pass ->
-      Alcotest.fail "jobs-dependent analyze output was not caught"
 
 let test_catches_stale_cache () =
   (* a "cache" that answers Unsat regardless of the query *)
@@ -472,8 +453,6 @@ let suite =
       test_runner_deterministic_failures;
     Alcotest.test_case "catches a weakened bound" `Slow
       test_catches_weakened_bound;
-    Alcotest.test_case "catches jobs nondeterminism" `Slow
-      test_catches_jobs_nondeterminism;
     Alcotest.test_case "catches a stale cache" `Quick test_catches_stale_cache;
     Alcotest.test_case "catches obs dependence" `Slow
       test_catches_obs_dependence;

@@ -827,8 +827,7 @@ let nf_witnesses buf =
         Bolt.Pipeline.analyze
           ~config:
             Bolt.Pipeline.Config.(
-              default |> with_contracts entry.Nf.Registry.contracts
-              |> with_jobs 1)
+              default |> with_contracts entry.Nf.Registry.contracts)
           entry.Nf.Registry.program
       in
       Printf.bprintf buf "nf %s unsolved=%d\n" entry.Nf.Registry.name

@@ -1,8 +1,7 @@
 (* Tests for the value-level spec API and the contract-guided autotuner:
    spec/registry equivalence (typed frozen knobs must render exactly the
-   historic string lists), Pareto-dominance properties, grid-enumeration
-   determinism across [jobs], and winner prediction-vs-replay agreement
-   with an explicit error bound. *)
+   historic string lists), Pareto-dominance properties, and winner
+   prediction-vs-replay agreement with an explicit error bound. *)
 
 module Spec = Nf.Spec
 module Tune = Tuner.Tune
@@ -171,8 +170,8 @@ let test_pareto_front () =
 
 (* Small grids keep these runs quick; the harvest/pipeline work is
    per-backend, not per-point, so capacity lists can stay short. *)
-let router_run jobs =
-  Tune.run ~nf:"trie_router" ~capacities:[ 16; 64 ] ~packets:64 ~jobs ()
+let router_run () =
+  Tune.run ~nf:"trie_router" ~capacities:[ 16; 64 ] ~packets:64 ()
 
 let test_front_is_nondominated () =
   let check_result r =
@@ -191,22 +190,14 @@ let test_front_is_nondominated () =
     (* the winner sits on the front *)
     check_bool "winner on front" true r.Tune.winner.Tune.on_front
   in
-  check_result (router_run 1);
-  check_result
-    (Tune.run ~nf:"nat" ~capacities:[ 64; 256 ] ~packets:64 ~jobs:1 ())
-
-let test_jobs_determinism () =
-  let r1 = router_run 1 and r1' = router_run 1 and r4 = router_run 4 in
+  let r = router_run () in
+  check_result r;
+  check_result (Tune.run ~nf:"nat" ~capacities:[ 64; 256 ] ~packets:64 ());
   let render r = Perf.Json.to_string ~indent:true (Tune.to_json r) in
-  check_string "identical reruns" (render r1) (render r1');
-  (* jobs only parallelizes the pipeline; normalize the echoed knob and
-     everything else must match bit-for-bit. *)
-  check_string "jobs 1 = jobs 4" (render r1)
-    (render { r4 with Tune.jobs = r1.Tune.jobs });
-  check_int "echoes jobs" 4 r4.Tune.jobs
+  check_string "identical reruns" (render r) (render (router_run ()))
 
 let test_winner_agreement () =
-  let r = router_run 1 in
+  let r = router_run () in
   let v = r.Tune.validation in
   (* Soundness: every replayed packet stayed under the contract at its
      own observed PCVs. *)
@@ -229,7 +220,7 @@ let test_winner_agreement () =
 let test_exposure_grows_with_capacity () =
   let r =
     Tune.run ~nf:"nat" ~backends:[ "dll" ] ~capacities:[ 64; 256 ] ~packets:32
-      ~jobs:1 ()
+      ()
   in
   match List.map (fun p -> p.Tune.exposure_ic) r.Tune.points with
   | [ Some small; Some big ] ->
@@ -250,8 +241,6 @@ let suite =
     Alcotest.test_case "pareto dominance and front" `Quick test_pareto_front;
     Alcotest.test_case "front is non-dominated" `Slow
       test_front_is_nondominated;
-    Alcotest.test_case "grid determinism across jobs" `Slow
-      test_jobs_determinism;
     Alcotest.test_case "winner prediction vs replay" `Slow
       test_winner_agreement;
     Alcotest.test_case "exposure grows with capacity" `Slow
