@@ -1,4 +1,4 @@
-.PHONY: all build test test-one-core lint bench bench-quick bench-smoke soak-smoke scale-smoke fuzz-smoke fuzz-stateful-smoke tune-smoke topo-smoke topo-parity examples doc clean
+.PHONY: all build test test-one-core lint bench bench-quick bench-pipeline bench-smoke soak-smoke scale-smoke fuzz-smoke fuzz-stateful-smoke tune-smoke topo-smoke topo-parity examples doc clean
 
 all: build
 
@@ -124,6 +124,12 @@ bench:
 
 bench-quick:
 	dune exec bench/main.exe -- --quick
+
+# Regenerate the tracked BENCH_pipeline.json: figure1_table3 timed at
+# each jobs level, with the jobs:1 / jobs:N determinism cross-check and
+# the solver-cache hit and miss counts.
+bench-pipeline:
+	dune exec bench/main.exe -- speedup --json BENCH_pipeline.json
 
 # CI smoke: quick workloads through the parallel pipeline, with the
 # jobs:1 / jobs:N determinism cross-check, solver-cache stats and a

@@ -421,7 +421,7 @@ let fuzz_t =
        ~doc:
          "Property-based soundness fuzzing: generative NF/workload \
           testing against differential oracles (contract \
-          conservativeness, cache equivalence, obs neutrality), with \
+          conservativeness, cache and slice equivalence, obs neutrality), with \
           automatic shrinking; exits 1 on any counterexample.  \
           --stateful switches to the model-based \
           command-sequence oracles over the dslib structures")

@@ -230,18 +230,10 @@ let verdict_kind = function
   | Solver.Solve.Unsat -> "unsat"
   | Solver.Solve.Unknown -> "unknown"
 
-(* Random affine constraint sets in the engine's language: comparisons
-   of small linear combinations of bounded symbols, with a little
-   conj/disj/negation structure. *)
-let gen_constraint_sets rng =
-  let gen = Solver.Sym.gen () in
-  let nsyms = 2 + P.below rng 3 in
-  let syms =
-    Array.init nsyms (fun i ->
-        Solver.Sym.fresh gen ~lo:0
-          ~hi:(1 + P.below rng 1000)
-          (Printf.sprintf "s%d" i))
-  in
+(* A random constraint in the engine's language over [syms]: comparisons
+   of small linear combinations of the symbols, with a little
+   conj/disj/negation structure up to [depth]. *)
+let gen_constr rng syms depth =
   let lin () =
     let e = Solver.Linexpr.const (P.below rng 60 - 30) in
     Array.fold_left
@@ -271,7 +263,21 @@ let gen_constraint_sets rng =
       | 2 -> Solver.Constr.not_ (constr (depth - 1))
       | _ -> atom ()
   in
-  List.init 24 (fun _ -> List.init (1 + P.below rng 4) (fun _ -> constr (P.below rng 2)))
+  constr depth
+
+let gen_syms rng gen ~prefix n =
+  Array.init n (fun i ->
+      Solver.Sym.fresh gen ~lo:0
+        ~hi:(1 + P.below rng 1000)
+        (Printf.sprintf "%s%d" prefix i))
+
+(* Random constraint sets over one pool of 2–4 symbols. *)
+let gen_constraint_sets rng =
+  let gen = Solver.Sym.gen () in
+  let syms = gen_syms rng gen ~prefix:"s" (2 + P.below rng 3) in
+  List.init 24 (fun _ ->
+      List.init (1 + P.below rng 4) (fun _ ->
+          gen_constr rng syms (P.below rng 2)))
 
 let cache_equivalence ?(check_cached = fun cs -> Solver.Cache.check cs) () =
   let name = "cache_equivalence" in
@@ -330,6 +336,92 @@ let cache_equivalence ?(check_cached = fun cs -> Solver.Cache.check cs) () =
           regime i pass_idx want got (List.length shrunk)
           (Format.pp_print_list Solver.Constr.pp)
           shrunk
+  in
+  { name; run }
+
+(* ---- Oracle 2b: slice equivalence ------------------------------------ *)
+
+let feasibility_check cs =
+  Solver.Solve.check ~max_conjuncts:Solver.Cache.feasibility_max_conjuncts
+    ~max_nodes:Solver.Cache.feasibility_max_nodes cs
+
+(* A slicing case: symbols in 2–3 groups; each constraint mentions one
+   group or, one time in five, two adjacent ones, so components chain and
+   the closure must be transitive.  Constant folding leaves some
+   constraints symbol-free.  [known] grows as exploration's does: a
+   candidate joins only if the set stays provably Sat. *)
+let gen_slice_case rng =
+  let gen = Solver.Sym.gen () in
+  let ngroups = 2 + P.below rng 2 in
+  let groups =
+    Array.init ngroups (fun g ->
+        gen_syms rng gen ~prefix:(Printf.sprintf "g%d_" g) (1 + P.below rng 2))
+  in
+  let constr () =
+    let g = P.below rng ngroups in
+    let syms =
+      if g + 1 < ngroups && P.bool rng 0.2 then
+        Array.append groups.(g) groups.(g + 1)
+      else groups.(g)
+    in
+    gen_constr rng syms (P.below rng 2)
+  in
+  let known =
+    List.fold_left
+      (fun known c ->
+        match feasibility_check (c :: known) with
+        | Solver.Solve.Sat _ -> c :: known
+        | Solver.Solve.Unsat | Solver.Solve.Unknown -> known)
+      []
+      (List.init (3 + P.below rng 6) (fun _ -> constr ()))
+  in
+  let extra = List.init (1 + P.below rng 2) (fun _ -> constr ()) in
+  (known, extra)
+
+let slice_equivalence ?(relevant = Solver.Cache.slice) () =
+  let name = "slice_equivalence" in
+  (* [Some (want, got)] when [known] is proven Sat, the whole set's
+     verdict is decided, and the slice — or the real entry point,
+     [Solver.Cache.feasible] — answers otherwise *)
+  let disagreement (known, extra) =
+    match feasibility_check known with
+    | Solver.Solve.Unsat | Solver.Solve.Unknown -> None
+    | Solver.Solve.Sat _ -> (
+        match feasibility_check (known @ extra) with
+        | Solver.Solve.Unknown -> None
+        | whole ->
+            let want = verdict_kind whole in
+            let got = verdict_kind (feasibility_check (relevant ~known extra)) in
+            if not (String.equal want got) then Some (want, "slice " ^ got)
+            else if
+              Solver.Cache.feasible ~known extra <> (String.equal want "sat")
+            then Some (want, "Solver.Cache.feasible disagrees")
+            else None)
+  in
+  let run ~seed =
+    let rng = P.create ~seed in
+    let cases = List.init 24 (fun _ -> gen_slice_case rng) in
+    match
+      List.find_map
+        (fun (i, case) ->
+          Option.map (fun d -> (i, case, d)) (disagreement case))
+        (List.mapi (fun i case -> (i, case)) cases)
+    with
+    | None -> Pass
+    | Some (i, (known, extra), (want, got)) ->
+        let still_fails known = disagreement (known, extra) <> None in
+        let shrunk, _ =
+          Shrink.minimize ~max_evals:200 ~still_fails
+            ~candidates:Shrink.list known
+        in
+        fail name seed
+          "case %d: whole set %s, got %s@.shrunk from %d to %d known \
+           constraints:@.%a@.extra:@.%a"
+          i want got (List.length known) (List.length shrunk)
+          (Format.pp_print_list Solver.Constr.pp)
+          shrunk
+          (Format.pp_print_list Solver.Constr.pp)
+          extra
   in
   { name; run }
 
@@ -696,6 +788,7 @@ let all () =
   [
     conservativeness ();
     cache_equivalence ();
+    slice_equivalence ();
     obs_neutrality ();
     concrete_symbex_agreement ();
     specialized_interp_agreement ();

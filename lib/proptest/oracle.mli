@@ -10,6 +10,10 @@
       (paper §2.2, the defining guarantee);
     - {b cache-equivalence} — solver verdicts are identical with the
       cache disabled, enabled, and capacity-starved into eviction churn;
+    - {b slice-equivalence} — a feasibility check solved on its
+      constraint slice ({!Solver.Cache.slice}) reaches the whole set's
+      verdict whenever the accepted prefix is Sat and that verdict is
+      decided;
     - {b obs-neutrality} — contract output is unchanged by tracing;
     - {b concrete-symbex-agreement} — on a fully-concrete packet the
       symbolic engine, the fidelity-checked replay and the direct
@@ -52,6 +56,20 @@ val cache_equivalence :
 (** [check_cached] is the memoized solve under test (default
     {!Solver.Cache.check}); tests substitute one that returns stale
     verdicts. *)
+
+val slice_equivalence :
+  ?relevant:(known:Solver.Constr.t list -> Solver.Constr.t list ->
+             Solver.Constr.t list) ->
+  unit ->
+  t
+(** Over generated [(known, extra)] cases whose symbols fall into a few
+    independent, sometimes chained groups: whenever [known] is proven Sat
+    and [known @ extra] is decided under the feasibility budget, solving
+    [relevant ~known extra] must give the same verdict, and
+    {!Solver.Cache.feasible} must agree.  A failing case is shrunk over
+    [known].  [relevant] is the slice under test (default
+    {!Solver.Cache.slice}); tests pass one that drops a symbol-sharing
+    constraint. *)
 
 val obs_neutrality :
   ?analyze:(config:Bolt.Pipeline.Config.t -> Ir.Program.t -> Bolt.Pipeline.t) ->

@@ -171,6 +171,113 @@ let is_sat ?max_conjuncts ?max_nodes constraints =
   | Solve.Sat _ | Solve.Unknown -> true
   | Solve.Unsat -> false
 
+(* ---- Feasibility on constraint slices --------------------------------- *)
+
+let feasibility_max_conjuncts = 512
+let feasibility_max_nodes = 4000
+let c_slice_dropped = Obs.Metrics.counter "solver.slice_dropped"
+
+(* Union-find over symbol ids, in per-domain arrays that grow to
+   the largest id seen and are never cleared: an id's [parent] entry
+   counts only when its [stamp] is the current call's [epoch], so every
+   call starts from singletons without touching the arrays. *)
+type union_find = {
+  mutable parent : int array;
+  mutable stamp : int array;
+  mutable epoch : int;
+}
+
+let union_find_key =
+  Domain.DLS.new_key (fun () -> { parent = [||]; stamp = [||]; epoch = 0 })
+
+let rec find s i =
+  if i >= Array.length s.stamp || s.stamp.(i) <> s.epoch then i
+  else
+    let p = s.parent.(i) in
+    let r = find s p in
+    if r <> p then s.parent.(i) <- r;
+    r
+
+let union s i j =
+  let a = find s i and b = find s j in
+  if a <> b then begin
+    if b >= Array.length s.stamp then begin
+      let n = max (b + 1) (2 * Array.length s.stamp) in
+      let grow a = Array.append a (Array.make (n - Array.length a) (-1)) in
+      s.parent <- grow s.parent;
+      s.stamp <- grow s.stamp
+    end;
+    s.parent.(b) <- a;
+    s.stamp.(b) <- s.epoch
+  end
+
+(* Union every id of [c] with [rep] (the first id met when [rep] is
+   [-1], the "no symbol yet" mark) and return the representative. *)
+let rec link s rep (c : Constr.t) =
+  match c with
+  | Constr.True | Constr.False -> rep
+  | Constr.Atom (Constr.Le l | Constr.Eqz l) -> link_terms s rep (Linexpr.terms l)
+  | Constr.And l | Constr.Or l -> link_all s rep l
+
+and link_terms s rep = function
+  | [] -> rep
+  | (sym, _) :: rest ->
+      let i = Sym.id sym in
+      if rep < 0 then link_terms s i rest
+      else begin
+        union s rep i;
+        link_terms s rep rest
+      end
+
+and link_all s rep = function
+  | [] -> rep
+  | c :: rest -> link_all s (link s rep c) rest
+
+let rec first_id (c : Constr.t) =
+  match c with
+  | Constr.True | Constr.False -> -1
+  | Constr.Atom (Constr.Le l | Constr.Eqz l) -> (
+      match Linexpr.terms l with (sym, _) :: _ -> Sym.id sym | [] -> -1)
+  | Constr.And l | Constr.Or l -> first_id_all l
+
+and first_id_all = function
+  | [] -> -1
+  | c :: rest ->
+      let i = first_id c in
+      if i >= 0 then i else first_id_all rest
+
+(* Every constraint links its own ids and [extra] is linked as one block,
+   so afterwards a constraint of [known] is in the closure of [extra]
+   over shared symbols exactly when its first id has [extra]'s root.
+   Returns the slice and how many [known] constraints it left out. *)
+let slice_counted ~known extra =
+  let s = Domain.DLS.get union_find_key in
+  s.epoch <- s.epoch + 1;
+  List.iter (fun c -> ignore (link s (-1) c)) known;
+  let seed = link_all s (-1) extra in
+  let root = if seed < 0 then -1 else find s seed in
+  let dropped = ref 0 in
+  let rec keep = function
+    | [] -> extra
+    | c :: rest ->
+        let i = first_id c in
+        if i < 0 || (root >= 0 && find s i = root) then c :: keep rest
+        else begin
+          incr dropped;
+          keep rest
+        end
+  in
+  let cs = keep known in
+  (cs, !dropped)
+
+let slice ~known extra = fst (slice_counted ~known extra)
+
+let feasible ~known extra =
+  let cs, dropped = slice_counted ~known extra in
+  Obs.Metrics.add c_slice_dropped dropped;
+  is_sat ~max_conjuncts:feasibility_max_conjuncts
+    ~max_nodes:feasibility_max_nodes cs
+
 let stats () =
   Mutex.protect lock (fun () ->
       {

@@ -6,7 +6,9 @@
     answer is a pure function of its key, whichever domain asked first.
     The symbolic engine's per-fork feasibility checks and packet-class
     matching re-solve many identical sets; this cache collapses them to
-    one solve each.
+    one solve each.  Those checks go through {!feasible}, which solves
+    only the slice of the constraint set that shares symbols with what
+    the check adds.
 
     The table is global to the process, protected by a mutex, and
     bounded: past {!set_capacity} entries (default 32768), inserts evict
@@ -35,6 +37,35 @@ val check :
 val is_sat : ?max_conjuncts:int -> ?max_nodes:int -> Constr.t list -> bool
 (** Memoized {!Solve.is_sat}; shares {!check}'s table, so a [check]
     followed by [is_sat] on the same set costs one solve. *)
+
+val feasibility_max_conjuncts : int
+(** The one feasibility budget's DNF cap: 512 conjuncts.  Every fork,
+    topology edge and class test is judged under it, through
+    {!feasible}. *)
+
+val feasibility_max_nodes : int
+(** The feasibility budget's search-tree cap per conjunct: 4000 nodes. *)
+
+val slice : known:Constr.t list -> Constr.t list -> Constr.t list
+(** [slice ~known extra] is [extra] together with the constraints of
+    [known] that share a symbol with it, closed transitively (a
+    constraint over [a, b] pulls in every constraint over [b]), and every
+    symbol-free constraint of [known].  Symbols are identified by id. *)
+
+val feasible : known:Constr.t list -> Constr.t list -> bool
+(** [feasible ~known extra] is whether [known @ extra] is satisfiable,
+    given that [known] has already been accepted: it solves only
+    {!slice}[ ~known extra], through the table, under the feasibility
+    budget, and adds the number of [known] constraints left out to the
+    [solver.slice_dropped] counter.
+
+    Precondition: [known] is satisfiable.  The constraints left out
+    then mention none of the slice's symbols, so a model of [known] and
+    a model of the slice combine into one of [known @ extra], and the
+    verdict is that of the whole set whenever the whole set's is
+    decided; a check the whole set would leave [Unknown] may come out
+    decided on the smaller slice.  [Unknown] counts as satisfiable, as
+    in {!is_sat}. *)
 
 val stats : unit -> stats
 (** Cumulative hit/miss/eviction counters since start or the last

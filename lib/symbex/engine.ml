@@ -35,6 +35,12 @@ type st = {
   view : Spacket.view;
   cons : Solver.Constr.t list;  (** reversed *)
   conset : CS.t;  (** the members of [cons], for duplicate checks *)
+  checked : Solver.Constr.t list;
+      (** [cons] as of the last accepted feasibility check (a suffix of
+          it) *)
+  unchecked : Solver.Constr.t list;
+      (** added since that check, reversed: [cons] is [unchecked @
+          checked] *)
   calls : Path.call list;  (** reversed *)
   loops : Path.pcv_loop list;
   decis : bool list;  (** reversed branch decisions, see {!Path.t} *)
@@ -78,14 +84,16 @@ let explore ?(max_paths = 8192) ?(initial = []) ?shared ?concrete ?pin_port
   let paths = ref [] in
   let path_count = ref 0 in
   let pruned = ref 0 in
-  let feasible cons =
-    Solver.Cache.is_sat ~max_conjuncts:512 ~max_nodes:4000 cons
-  in
   let add_con st c =
     if Solver.Constr.is_true c || CS.mem c st.conset then st
     else begin
       Obs.Metrics.incr c_cons;
-      { st with cons = c :: st.cons; conset = CS.add c st.conset }
+      {
+        st with
+        cons = c :: st.cons;
+        conset = CS.add c st.conset;
+        unchecked = c :: st.unchecked;
+      }
     end
   in
   let drain st = List.fold_left add_con st (Value.take_side ctx) in
@@ -98,6 +106,7 @@ let explore ?(max_paths = 8192) ?(initial = []) ?shared ?concrete ?pin_port
       {
         Path.id = !path_count;
         constraints = List.rev st.cons;
+        checked = List.length st.checked;
         calls = List.rev st.calls;
         loops = List.rev st.loops;
         decisions = List.rev st.decis;
@@ -107,13 +116,16 @@ let explore ?(max_paths = 8192) ?(initial = []) ?shared ?concrete ?pin_port
       :: !paths
   in
   let fork st branches =
-    (* each branch: (extra constraints, continuation) *)
+    (* each branch: (extra constraints, continuation).  [st.checked]
+       was accepted, so only what was added since — side constraints,
+       [initial] before the first check, and the branch's own — seeds
+       the slice that is solved. *)
     List.iter
       (fun (extra, k) ->
         let st' = List.fold_left add_con st extra in
-        if feasible st'.cons then begin
+        if Solver.Cache.feasible ~known:st.checked st'.unchecked then begin
           Obs.Metrics.incr c_forks;
-          k st'
+          k { st' with checked = st'.cons; unchecked = [] }
         end
         else begin
           Obs.Metrics.incr c_pruned;
@@ -264,6 +276,8 @@ let explore ?(max_paths = 8192) ?(initial = []) ?shared ?concrete ?pin_port
       view = view0;
       cons = List.rev initial;
       conset = CS.of_list initial;
+      checked = [];
+      unchecked = List.rev initial;
       calls = [];
       loops = [];
       decis = [];

@@ -4,7 +4,11 @@
     code, with stateful calls replaced by their symbolic models
     (paper Alg. 2, line 3).  Forks happen at branches on symbolic
     conditions and at model branches; infeasible forks are pruned with the
-    solver.  Loops are either unrolled (fork per trip count) or
+    solver.  Each fork is judged by {!Solver.Cache.feasible} with [known]
+    the state's constraints as of its last accepted check, and the seed
+    everything added since: load and drain side constraints, the
+    branch's own constraints and, until the first check, [initial] and
+    the pinned [in_port] — so no precondition falls on the caller.  Loops are either unrolled (fork per trip count) or
     parameterised by a PCV (body executed once, assigned variables
     havocked — the trip count surfaces in the contract instead of the
     path count). *)

@@ -48,7 +48,7 @@ let admits t ~predicate ~tags constraints =
   && List.for_all
        (fun (instance, meth) -> Path.tags_of tags ~instance ~meth = [])
        t.forbids
-  && Cache.is_sat ~max_conjuncts:512 ~max_nodes:4000 (predicate @ constraints)
+  && Cache.feasible ~known:constraints predicate
 
 let matches t result =
   let predicate = t.predicate result in

@@ -39,10 +39,18 @@ val admits :
     the required tag), no forbidden method is called on it, and
     [predicate] — [t.predicate] already applied to the engine result, so
     a caller judging many paths computes it once — is satisfiable together
-    with [constraints]. *)
+    with [constraints].
+
+    Precondition: [constraints] is satisfiable — a path or route that
+    exploration accepted, or one that already has a witness.  The test
+    is {!Solver.Cache.feasible} with [constraints] as [known] and the
+    predicate as the seed, so it solves only the constraints that share
+    symbols with the predicate. *)
 
 val matches : t -> Engine.result -> Path.t -> bool
-(** Path membership: {!admits} with the path's own tags and constraints.
+(** Path membership: {!admits} with the path's own tags and constraints
+    (the same precondition: the path has a witness, as every path
+    the analysis pipeline prices does).
     [matches t result] applies the predicate once for every path it is
     given. *)
 

@@ -16,6 +16,10 @@ type action = Forward of Value.t | Drop | Flood
 type t = {
   id : int;
   constraints : Solver.Constr.t list;
+  checked : int;
+      (** the first [checked] members of [constraints] are the set the
+          path's last accepted feasibility check covered; the rest are
+          load and side constraints the engine added after it, unchecked *)
   calls : call list;  (** in call order *)
   loops : pcv_loop list;
   decisions : bool list;
@@ -26,6 +30,9 @@ type t = {
   action : action;
   view : Spacket.view;  (** the symbolic output packet *)
 }
+
+val split_checked : t -> Solver.Constr.t list * Solver.Constr.t list
+(** [(checked prefix, unchecked tail)] of [constraints]. *)
 
 val tags_of : t -> instance:string -> meth:string -> string list
 (** Tags of all this path's calls to [instance.meth]. *)

@@ -86,9 +86,6 @@ let walk ?max_paths ~models graph entries =
   let emit steps_rev egress cons =
     pending := (steps_rev, egress, cons) :: !pending
   in
-  let feasible cons =
-    Solver.Cache.is_sat ~max_conjuncts:512 ~max_nodes:4000 cons
-  in
   let rec descend steps_rev node view cons pin =
     let engine =
       Symbex.Engine.explore ?max_paths ~shared:(gen, view) ~initial:cons
@@ -135,24 +132,31 @@ let walk ?max_paths ~models graph entries =
               | Graph.Any -> assert false (* validated: Any is exclusive *))
             edges
         in
+        (* exploration accepted the path's checked prefix; its unchecked
+           tail joins the edge's own constraints in the solved slice *)
+        let known, tail = Symbex.Path.split_checked path in
+        let feasible added =
+          Solver.Cache.feasible ~known (tail @ added)
+        in
         List.iter
           (fun (p, target) ->
-            let cons =
-              path.Symbex.Path.constraints
-              @ (Solver.Constr.eq lin (Solver.Linexpr.const p) :: side)
-            in
-            if feasible cons then follow steps_rev node path cons target (Some p)
+            let added = Solver.Constr.eq lin (Solver.Linexpr.const p) :: side in
+            if feasible added then
+              follow steps_rev node path
+                (path.Symbex.Path.constraints @ added)
+                target (Some p)
             else incr infeasible)
           ports;
-        let cons =
-          path.Symbex.Path.constraints
-          @ List.map
-              (fun (p, _) -> Solver.Constr.ne lin (Solver.Linexpr.const p))
-              ports
+        let added =
+          List.map
+            (fun (p, _) -> Solver.Constr.ne lin (Solver.Linexpr.const p))
+            ports
           @ side
         in
-        if feasible cons then
-          emit steps_rev (Exited { node; label = Graph.default_exit }) cons
+        if feasible added then
+          emit steps_rev
+            (Exited { node; label = Graph.default_exit })
+            (path.Symbex.Path.constraints @ added)
         else incr infeasible
   and follow steps_rev node (path : Symbex.Path.t) cons target pin =
     match target with
@@ -177,7 +181,8 @@ let run ?max_paths ?(models = Bolt.Ds_models.default) graph =
       graph.Graph.nodes
   in
   let pending, infeasible_routes, input, ingress_engine =
-    walk ?max_paths ~models graph entries
+    Obs.Span.with_ ~cat:"topo" "topo.walk" (fun () ->
+        walk ?max_paths ~models graph entries)
   in
   (* A route is kept when its joint constraints have a witness and every
      traversed node replays on it; the rest are counted as unsolved. *)
@@ -200,7 +205,10 @@ let run ?max_paths ?(models = Bolt.Ds_models.default) graph =
             | Exec.Interp.Stuck _ ) ->
             None)
   in
-  let routes = List.filter_map finalize pending in
+  let routes =
+    Obs.Span.with_ ~cat:"topo" "topo.finalize" (fun () ->
+        List.filter_map finalize pending)
+  in
   {
     graph;
     entries;

@@ -7,7 +7,17 @@
     each route's witness through every traversed node, and joins the
     per-route replayed costs into per-(egress, input-class) end-to-end
     bounds with {!Perf.Cost_vec.max_upper_list}, the same conservative
-    monomial-wise-max coalescing `Perf.Contract` uses. *)
+    monomial-wise-max coalescing `Perf.Contract` uses.
+
+    A port edge, and the complement edge a forwarded value takes when no
+    declared port matches, is judged by {!Solver.Cache.feasible}: [known]
+    is the path's checked prefix ({!Symbex.Path.split_checked}), which
+    exploration accepted, and the seed is the edge's [out_port = p] (or
+    [<> p] for every declared [p]) with the value's side constraints and
+    the path's unchecked tail.  Each route's witness is still solved on
+    its whole constraint set.  Two spans time the phases: [topo.walk]
+    (exploration and edge checks) and [topo.finalize] (witness solves and
+    replays). *)
 
 type egress =
   | Exited of { node : string; label : string }

@@ -1,6 +1,7 @@
 (* Tests for the observability layer: span nesting across pool domains,
-   contract derivation staying off the pool, the Chrome-trace export
-   schema, and the null backend's zero-interference guarantee. *)
+   contract derivation staying off the pool, the topology walk/finalize
+   spans and slicing counter, the Chrome-trace export schema, and the
+   null backend's zero-interference guarantee. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -84,6 +85,35 @@ let test_analyze_queues_no_pool_tasks () =
         (List.exists
            (fun (s : Obs.Span.t) -> s.Obs.Span.name = "pool.worker")
            (Obs.Span.dump ())))
+
+(* ---- Topology derivation phases ----------------------------------------- *)
+
+let test_topo_phases_observable () =
+  let graph = (Topo.Builtin.find "failover").Topo.Builtin.graph in
+  let counter name =
+    Option.value ~default:0
+      (List.assoc_opt name (Obs.Metrics.counters_dump ()))
+  in
+  with_obs (fun () ->
+      Solver.Cache.reset ();
+      ignore (Topo.Analysis.run graph);
+      let spans = Obs.Span.dump () in
+      let named n = List.filter (fun (s : Obs.Span.t) -> s.Obs.Span.name = n) spans in
+      check_int "one topo.walk span" 1 (List.length (named "topo.walk"));
+      check_int "one topo.finalize span" 1
+        (List.length (named "topo.finalize"));
+      let walk = (List.hd (named "topo.walk")).Obs.Span.id in
+      check_bool "every explore nests under topo.walk" true
+        (List.for_all
+           (fun (s : Obs.Span.t) -> s.Obs.Span.parent = walk)
+           (named "explore"));
+      check_bool "slicing dropped constraints" true
+        (counter "solver.slice_dropped" > 0));
+  (* disabled: the same run records neither spans nor counts *)
+  Solver.Cache.reset ();
+  ignore (Topo.Analysis.run graph);
+  check_bool "no spans with obs off" true (Obs.Span.dump () = []);
+  check_int "no slice count with obs off" 0 (counter "solver.slice_dropped")
 
 (* ---- Trace export: valid JSON, stable schema ---------------------------- *)
 
@@ -185,6 +215,8 @@ let suite =
       test_spans_nest_across_pool;
     Alcotest.test_case "analyze queues no pool tasks" `Quick
       test_analyze_queues_no_pool_tasks;
+    Alcotest.test_case "topology phases and slicing are observable" `Quick
+      test_topo_phases_observable;
     Alcotest.test_case "trace schema" `Quick test_trace_schema;
     Alcotest.test_case "null backend leaves output identical" `Quick
       test_null_backend_identical_output;

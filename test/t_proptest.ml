@@ -150,6 +150,45 @@ let test_catches_stale_cache () =
       Alcotest.(check string)
         "failure names its oracle" "cache_equivalence" f.Proptest.Oracle.oracle
 
+let test_catches_lossy_slice () =
+  (* a slice that loses the first constraint of [known] sharing a symbol
+     with [extra] *)
+  let shares extra c =
+    let ids c = List.map Solver.Sym.id (Solver.Constr.syms c) in
+    let seed = List.concat_map ids extra in
+    List.exists (fun i -> List.mem i seed) (ids c)
+  in
+  let relevant ~known extra =
+    let rec drop = function
+      | [] -> []
+      | c :: rest when List.memq c known && shares extra c -> rest
+      | c :: rest -> c :: drop rest
+    in
+    drop (Solver.Cache.slice ~known extra)
+  in
+  let o = Proptest.Oracle.slice_equivalence ~relevant () in
+  match first_failure ~seeds:[ 1; 2; 3; 4 ] o with
+  | None -> Alcotest.fail "a slice missing a shared constraint was not caught"
+  | Some f ->
+      Alcotest.(check string)
+        "failure names its oracle" "slice_equivalence" f.Proptest.Oracle.oracle;
+      let detail = f.Proptest.Oracle.detail in
+      let needle = "shrunk from " in
+      let rec find i =
+        if String.sub detail i (String.length needle) = needle then i
+        else find (i + 1)
+      in
+      let at = find 0 + String.length needle in
+      let from, to_ =
+        Scanf.sscanf
+          (String.sub detail at (String.length detail - at))
+          "%d to %d" (fun a b -> (a, b))
+      in
+      check_bool
+        (Printf.sprintf "counterexample shrinks (%d -> %d known)" from to_)
+        true
+        (to_ >= 1 && to_ < from)
+
 let test_catches_obs_dependence () =
   let calls = ref 0 in
   let analyze ~config program =
@@ -454,6 +493,7 @@ let suite =
     Alcotest.test_case "catches a weakened bound" `Slow
       test_catches_weakened_bound;
     Alcotest.test_case "catches a stale cache" `Quick test_catches_stale_cache;
+    Alcotest.test_case "catches a lossy slice" `Quick test_catches_lossy_slice;
     Alcotest.test_case "catches obs dependence" `Slow
       test_catches_obs_dependence;
     Alcotest.test_case "catches tampered path decisions" `Quick

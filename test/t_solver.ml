@@ -892,6 +892,76 @@ let topo_witnesses buf =
         t.Topo.Analysis.routes)
     (Topo.Builtin.all ())
 
+(* ---- Constraint slicing ---------------------------------------------- *)
+
+let test_slice () =
+  let gen = Sym.gen () in
+  let sym name = Linexpr.sym (Sym.fresh gen ~lo:0 ~hi:10 name) in
+  let a = sym "a" and b = sym "b" and c = sym "c" and d = sym "d" in
+  let ab = Constr.le a b and bc = Constr.lt b c in
+  let dd = Constr.ge d (Linexpr.const 3) in
+  let known = [ bc; dd; Constr.False; ab ] in
+  let extra = [ Constr.eq a (Linexpr.const 2) ] in
+  let got = Cache.slice ~known extra in
+  let has c = List.mem c got in
+  check_bool "a pulls in a <= b" true (has ab);
+  check_bool "a <= b pulls in b < c (chain a~b~c)" true (has bc);
+  check_bool "symbol-free False kept" true (has Constr.False);
+  check_bool "independent d dropped" false (has dd);
+  check_bool "extra kept" true (List.for_all has extra);
+  check_int "slice size" 4 (List.length got);
+  check_bool "empty extra keeps only symbol-free" true
+    (Cache.slice ~known [] = [ Constr.False ]);
+  (* the seed links its own symbols: a constraint over [a, d] joins the
+     two components *)
+  check_int "seed joins components" 5
+    (List.length (Cache.slice ~known [ Constr.le a d ]))
+
+(* Feasibility checks prune on slices, which is exact when every set a
+   check treats as accepted is satisfiable.  Every path exploration keeps
+   and every route the topology walk keeps must therefore be decidedly
+   Sat on its whole constraint set under the feasibility budget: an
+   Unsat one would be a fork the whole-set check prunes and the sliced
+   one kept, an Unknown one a check whose sliced verdict may differ. *)
+let test_kept_sets_satisfiable () =
+  let whole cs =
+    match
+      Solve.check ~max_conjuncts:Cache.feasibility_max_conjuncts
+        ~max_nodes:Cache.feasibility_max_nodes cs
+    with
+    | Solve.Sat _ -> true
+    | Solve.Unsat | Solve.Unknown -> false
+  in
+  List.iter
+    (fun (entry : Nf.Registry.entry) ->
+      let r =
+        Symbex.Engine.explore ~models:Bolt.Ds_models.default
+          entry.Nf.Registry.program
+      in
+      List.iter
+        (fun (p : Symbex.Path.t) ->
+          check_bool
+            (Printf.sprintf "%s path %d satisfiable" entry.Nf.Registry.name
+               p.Symbex.Path.id)
+            true
+            (whole p.Symbex.Path.constraints))
+        r.Symbex.Engine.paths)
+    (Nf.Registry.all ());
+  List.iter
+    (fun (b : Topo.Builtin.entry) ->
+      let name = b.Topo.Builtin.graph.Topo.Graph.name in
+      let t = Topo.Analysis.run b.Topo.Builtin.graph in
+      (* unsolved routes are walk-kept routes with no witness *)
+      check_int (name ^ " unsolved routes") 0 t.Topo.Analysis.unsolved;
+      List.iteri
+        (fun i (r : Topo.Analysis.route) ->
+          check_bool
+            (Printf.sprintf "%s route %d satisfiable" name i)
+            true
+            (whole r.Topo.Analysis.constraints))
+        t.Topo.Analysis.routes)
+    (Topo.Builtin.all ())
+
 let test_witness_digest () =
   let buf = Buffer.create 65536 in
   nf_witnesses buf;
@@ -926,6 +996,9 @@ let suite =
     Alcotest.test_case "atoms compiled once per check" `Quick
       test_atoms_compiled_once;
     Alcotest.test_case "witness digest" `Slow test_witness_digest;
+    Alcotest.test_case "slice closes over shared symbols" `Quick test_slice;
+    Alcotest.test_case "kept paths and routes are satisfiable" `Quick
+      test_kept_sets_satisfiable;
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 16 |])
       prop_kernel_matches_reference;
