@@ -1,4 +1,4 @@
-.PHONY: all build test test-one-core lint bench bench-quick bench-pipeline bench-smoke soak-smoke scale-smoke fuzz-smoke fuzz-stateful-smoke tune-smoke topo-smoke topo-parity examples doc clean
+.PHONY: all build test test-one-core lint bench bench-quick bench-pipeline bench-smoke soak-smoke scale-smoke fuzz-smoke fuzz-stateful-smoke tune-smoke tune-parity topo-smoke topo-parity examples doc clean
 
 all: build
 
@@ -103,11 +103,13 @@ lint:
 	  echo "      per-term Linexpr rebuilds, no polymorphic Hashtbl):"; \
 	  echo "$$hits"; exit 1; \
 	fi
-	@hits=$$(grep -nE "eval_exn|Cost_vec\.eval|Perf_expr\.eval" lib/topo/harness.ml || true); \
+	@hits=$$(grep -rnE "eval_exn|Cost_vec\.eval|Perf_expr\.eval" lib/topo/harness.ml \
+	  lib/experiments/validate.ml lib/tuner --include='*.ml' --include='*.mli' || true); \
 	if [ -n "$$hits" ]; then \
-	  echo "lint: Topo.Harness.check prices every transit and must stay on"; \
-	  echo "      its bound compiled once per call (int arrays over PCV"; \
-	  echo "      slots), not re-evaluate Perf_expr over binding lists:"; \
+	  echo "lint: Topo.Harness.check, Experiments.Validate and the tuner check"; \
+	  echo "      every packet against a contract through Perf.Bound (compiled"; \
+	  echo "      once, int arrays over PCV slots), not by re-evaluating"; \
+	  echo "      Perf_expr over binding lists:"; \
 	  echo "$$hits"; exit 1; \
 	fi
 	@hits=$$(grep -rn "Interp\.run\|Ds\.find\|\.Ds\.call" lib/dataplane --include='*.ml' || true); \
@@ -179,6 +181,24 @@ fuzz-stateful-smoke:
 # predicted-vs-measured error.
 tune-smoke:
 	dune exec bin/bolt_cli.exe -- tune trie_router --packets 128 --json BENCH_tuner.json
+
+# Parity gate for the autotuner: the tune-smoke run must reproduce the
+# committed BENCH_tuner.json exactly, its provenance block (host, time)
+# aside — predicted percentiles, measured percentiles and the soundness
+# verdict included.  Writes to a temporary directory, never over the
+# tracked file.  Needs jq.
+tune-parity:
+	@dir=$$(mktemp -d); \
+	dune exec bin/bolt_cli.exe -- tune trie_router --packets 128 \
+	  --json $$dir/tune.json \
+	  && jq 'del(.provenance)' BENCH_tuner.json > $$dir/want.json \
+	  && jq 'del(.provenance)' $$dir/tune.json > $$dir/got.json \
+	  && diff -u $$dir/want.json $$dir/got.json; \
+	rc=$$?; rm -rf $$dir; \
+	if [ $$rc -ne 0 ]; then \
+	  echo "tune-parity: bolt tune no longer reproduces BENCH_tuner.json"; \
+	fi; \
+	exit $$rc
 
 # CI smoke for the network-wide contract engine: every built-in
 # topology jointly analysed (route-tuple pruning on), the composed

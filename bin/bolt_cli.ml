@@ -275,6 +275,20 @@ let metric_conv =
       ("cycles", Perf.Metric.Cycles);
     ]
 
+(* A count below [min] is a usage error (exit 124), not a crash or an
+   empty run. *)
+let count_conv ~min ~expected =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = count_conv ~min:1 ~expected:"a positive integer"
+let non_negative_int = count_conv ~min:0 ~expected:"a non-negative integer"
+
 let metric_arg =
   Arg.(
     value
@@ -496,7 +510,7 @@ let tune_t =
   in
   let packets_arg =
     Arg.(
-      value & opt int 512
+      value & opt positive_int 512
       & info [ "packets" ] ~docv:"N" ~doc:"Workload length in packets.")
   in
   let seed_arg =
@@ -548,12 +562,12 @@ let scale_t =
   in
   let packets_arg =
     Arg.(
-      value & opt int 4096
+      value & opt positive_int 4096
       & info [ "packets" ] ~docv:"N" ~doc:"Workload length in packets.")
   in
   let reps_arg =
     Arg.(
-      value & opt int 3
+      value & opt positive_int 3
       & info [ "reps" ] ~docv:"N"
           ~doc:"Timing repetitions per level (best-of, fresh engine each).")
   in
@@ -609,7 +623,7 @@ let topo_t =
   in
   let replay_arg =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "replay" ] ~docv:"N"
           ~doc:
             "Also replay $(docv) packets of the topology's built-in \

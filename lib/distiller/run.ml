@@ -47,8 +47,6 @@ type t = {
   obs_pcv : int array;  (** flat per-call stream: index into [pcvs] *)
   obs_val : int array;
   obs_off : int array;  (** packet i's calls are [obs_off.(i), obs_off.(i+1)) *)
-  total_ic : int;
-  total_ma : int;
 }
 
 let run ?hw ~dss program stream =
@@ -112,8 +110,6 @@ let run ?hw ~dss program stream =
     obs_pcv = Vec.to_array obs_pcv;
     obs_val = Vec.to_array obs_val;
     obs_off;
-    total_ic = Exec.Meter.ic meter;
-    total_ma = Exec.Meter.ma meter;
   }
 
 let run_pcap ?hw ~dss program ~path ?(in_port = 0) () =
@@ -121,9 +117,6 @@ let run_pcap ?hw ~dss program ~path ?(in_port = 0) () =
   run ?hw ~dss program (Workload.Stream.of_pcap ~in_port records)
 
 let count t = t.count
-let total_ic t = t.total_ic
-let total_ma t = t.total_ma
-let pcvs t = Array.to_list t.pcvs
 
 let find_col t pcv =
   let rec scan j =
@@ -144,7 +137,6 @@ let pcv_sums t pcv =
   | None -> List.init t.count (fun _ -> 0)
 
 let latencies t = Array.to_list t.cys
-let outcome t i = t.outcomes.(i)
 let ic t i = t.ics.(i)
 let ma t i = t.mas.(i)
 let cycles t i = t.cys.(i)

@@ -45,10 +45,6 @@ val run_pcap :
 val count : t -> int
 (** Packets replayed. *)
 
-val total_ic : t -> int
-val total_ma : t -> int
-
-val outcome : t -> int -> Exec.Interp.outcome
 val ic : t -> int -> int
 val ma : t -> int -> int
 val cycles : t -> int -> int
@@ -61,9 +57,6 @@ val report : t -> int -> packet_report
 
 val iter : t -> (packet_report -> unit) -> unit
 val fold : t -> ('a -> packet_report -> 'a) -> 'a -> 'a
-
-val pcvs : t -> Perf.Pcv.t list
-(** The PCVs the trace exercised, in first-observation order. *)
 
 val pcv_values : t -> Perf.Pcv.t -> int list
 (** Per-packet values of one PCV (max over the packet's calls; 0 when the

@@ -1,4 +1,4 @@
-type violation = {
+type violation = Perf.Bound.violation = {
   packet_index : int;
   metric : Perf.Metric.t;
   bound : int;
@@ -6,71 +6,20 @@ type violation = {
   binding : Perf.Pcv.binding;
 }
 
-type report = {
+type report = Perf.Bound.report = {
   packets : int;
   violations : violation list;
   worst_headroom_pct : float;
 }
 
-let tracked_pcvs =
-  Perf.Pcv.[ expired; collisions; traversals; occupancy; scan; ip_options ]
-
-let binding_of (r : Distiller.Run.packet_report) extra_pcvs =
-  List.map
-    (fun pcv ->
-      ( pcv,
-        List.fold_left
-          (fun acc (p, v) -> if Perf.Pcv.equal p pcv then max acc v else acc)
-          0 r.Distiller.Run.observations ))
-    (List.sort_uniq Perf.Pcv.compare (tracked_pcvs @ extra_pcvs))
-
 let run ~worst ~dss program stream =
-  let extra_pcvs = Perf.Cost_vec.pcvs worst in
-  let result =
-    Distiller.Run.run ~hw:(Hw.Model.null ()) ~dss program stream
-  in
-  let violations = ref [] in
-  let headroom = ref 100. in
-  Distiller.Run.iter result
-    (fun (r : Distiller.Run.packet_report) ->
-      let binding = binding_of r extra_pcvs in
-      let check metric measured =
-        let bound = Perf.Cost_vec.eval_exn binding worst metric in
-        if bound < measured then
-          violations :=
-            {
-              packet_index = r.Distiller.Run.index;
-              metric;
-              bound;
-              measured;
-              binding;
-            }
-            :: !violations
-        else if bound > 0 then
-          headroom :=
-            Float.min !headroom
-              (100. *. float_of_int (bound - measured) /. float_of_int bound)
-      in
-      check Perf.Metric.Instructions r.Distiller.Run.ic;
-      check Perf.Metric.Memory_accesses r.Distiller.Run.ma);
-  {
-    packets = Distiller.Run.count result;
-    violations = List.rev !violations;
-    worst_headroom_pct = !headroom;
-  }
+  let r = Distiller.Run.run ~hw:(Hw.Model.null ()) ~dss program stream in
+  let acc = Perf.Bound.acc (Perf.Bound.compile worst) in
+  for i = 0 to Distiller.Run.count r - 1 do
+    Perf.Bound.clear acc;
+    Perf.Bound.observe acc (Distiller.Run.observations r i);
+    Perf.Bound.check acc ~ic:(Distiller.Run.ic r i) ~ma:(Distiller.Run.ma r i)
+  done;
+  Perf.Bound.report acc
 
-let pp ppf r =
-  if r.violations = [] then
-    Fmt.pf ppf
-      "OK: %d packets within the contract (tightest headroom: %.1f%%)@."
-      r.packets r.worst_headroom_pct
-  else begin
-    Fmt.pf ppf "CONTRACT VIOLATED on %d of %d packets:@."
-      (List.length r.violations) r.packets;
-    List.iter
-      (fun v ->
-        Fmt.pf ppf "  packet %d: %a bound %d < measured %d at %a@."
-          v.packet_index Perf.Metric.pp v.metric v.bound v.measured
-          Perf.Pcv.pp_binding v.binding)
-      r.violations
-  end
+let pp = Perf.Bound.pp_report ~subject:"contract"

@@ -7,7 +7,7 @@
     either the library contract or the NF's stateless analysis is wrong;
     the report pinpoints the packet and the PCV binding. *)
 
-type violation = {
+type violation = Perf.Bound.violation = {
   packet_index : int;
   metric : Perf.Metric.t;
   bound : int;
@@ -15,12 +15,10 @@ type violation = {
   binding : Perf.Pcv.binding;
 }
 
-type report = {
+type report = Perf.Bound.report = {
   packets : int;
   violations : violation list;
   worst_headroom_pct : float;
-      (** smallest (bound - measured)/bound over the trace: how close the
-          trace came to the bound *)
 }
 
 val run :

@@ -145,7 +145,7 @@ let replay t stream =
 
 (* ---- Soundness -------------------------------------------------------- *)
 
-type violation = {
+type violation = Perf.Bound.violation = {
   packet_index : int;
   metric : Perf.Metric.t;
   bound : int;
@@ -153,118 +153,29 @@ type violation = {
   binding : Perf.Pcv.binding;
 }
 
-type report = {
+type report = Perf.Bound.report = {
   packets : int;
   violations : violation list;
   worst_headroom_pct : float;
 }
 
-let tracked_pcvs =
-  Perf.Pcv.[ expired; collisions; traversals; occupancy; scan; ip_options ]
-
-(* [pcv]'s index in [slots], or -1. *)
-let slot_of slots pcv =
-  let rec go i =
-    if i = Array.length slots then -1
-    else if Perf.Pcv.equal slots.(i) pcv then i
-    else go (i + 1)
-  in
-  go 0
-
-(* A polynomial compiled over PCV slots: monomial after monomial, its
-   coefficient, its variable count [n], then [n] (slot, exponent) pairs.
-   Ints wrap, so the sum and products come out as [Perf_expr]'s in any
-   order. *)
-let compile slots poly =
-  Perf.Perf_expr.terms poly
-  |> List.concat_map (fun (vars, coeff) ->
-         coeff :: List.length vars
-         :: List.concat_map (fun (v, e) -> [ slot_of slots v; e ]) vars)
-  |> Array.of_list
-
-let eval_compiled (code : int array) (x : int array) =
-  let acc = ref 0 and pc = ref 0 in
-  while !pc < Array.length code do
-    let n = code.(!pc + 1) in
-    let v = ref code.(!pc) in
-    for k = 0 to n - 1 do
-      let xk = x.(code.(!pc + 2 + (2 * k))) in
-      for _ = 1 to code.(!pc + 3 + (2 * k)) do
-        v := !v * xk
-      done
-    done;
-    acc := !acc + !v;
-    pc := !pc + 2 + (2 * n)
-  done;
-  !acc
-
-(* Conservative per-packet binding: per-PCV max over every hop's
-   observations, into [x] by slot (a PCV never observed binds to 0). *)
-let bind slots x tr =
-  Array.fill x 0 (Array.length x) 0;
-  List.iter
-    (fun h ->
-      List.iter
-        (fun (p, v) ->
-          let i = slot_of slots p in
-          if i >= 0 then x.(i) <- max x.(i) v)
-        h.observations)
-    tr.hops
+(* A transit's binding: per-PCV max over every hop's observations.  A
+   top-level loop, so checking a packet builds no closure. *)
+let rec observe_hops acc = function
+  | [] -> ()
+  | h :: rest ->
+      Perf.Bound.observe acc h.observations;
+      observe_hops acc rest
 
 let check t ~worst stream =
-  let slots =
-    Array.of_list
-      (List.sort_uniq Perf.Pcv.compare
-         (tracked_pcvs @ Perf.Cost_vec.pcvs worst))
-  in
-  let bound_ic = compile slots worst.Perf.Cost_vec.ic
-  and bound_ma = compile slots worst.Perf.Cost_vec.ma in
-  let x = Array.make (Array.length slots) 0 in
-  let violations = ref [] in
-  let headroom = ref 100. in
-  List.iteri
-    (fun index (e : Workload.Stream.entry) ->
-      let tr =
-        transit t ~in_port:e.Workload.Stream.in_port
-          ~now:e.Workload.Stream.now e.Workload.Stream.packet
-      in
-      bind slots x tr;
-      let check_metric metric code measured =
-        let bound = eval_compiled code x in
-        if bound < measured then
-          let binding =
-            List.mapi (fun i p -> (p, x.(i))) (Array.to_list slots)
-          in
-          violations :=
-            { packet_index = index; metric; bound; measured; binding }
-            :: !violations
-        else if bound > 0 then
-          headroom :=
-            Float.min !headroom
-              (100. *. float_of_int (bound - measured) /. float_of_int bound)
-      in
-      check_metric Perf.Metric.Instructions bound_ic tr.ic;
-      check_metric Perf.Metric.Memory_accesses bound_ma tr.ma)
+  let acc = Perf.Bound.acc (Perf.Bound.compile worst) in
+  List.iter
+    (fun { Workload.Stream.packet; now; in_port } ->
+      let tr = transit t ~in_port ~now packet in
+      Perf.Bound.clear acc;
+      observe_hops acc tr.hops;
+      Perf.Bound.check acc ~ic:tr.ic ~ma:tr.ma)
     stream;
-  {
-    packets = List.length stream;
-    violations = List.rev !violations;
-    worst_headroom_pct = !headroom;
-  }
+  Perf.Bound.report acc
 
-let pp_report ppf r =
-  if r.violations = [] then
-    Fmt.pf ppf
-      "OK: %d packets within the topology contract (tightest headroom: \
-       %.1f%%)@."
-      r.packets r.worst_headroom_pct
-  else begin
-    Fmt.pf ppf "TOPOLOGY CONTRACT VIOLATED on %d of %d packets:@."
-      (List.length r.violations) r.packets;
-    List.iter
-      (fun v ->
-        Fmt.pf ppf "  packet %d: %a bound %d < measured %d at %a@."
-          v.packet_index Perf.Metric.pp v.metric v.bound v.measured
-          Perf.Pcv.pp_binding v.binding)
-      r.violations
-  end
+let pp_report = Perf.Bound.pp_report ~subject:"topology contract"

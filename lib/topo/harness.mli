@@ -7,8 +7,8 @@
     the port the packet leaves on selects the edge, exactly as the
     symbolic walk routes — and records per-hop measured costs plus PCV
     observations, so every transit can be checked against the composed
-    contract bound evaluated at the observed binding (same discipline as
-    [Experiments.Validate]). *)
+    contract bound evaluated at the observed binding (the one
+    {!Perf.Bound} check [Experiments.Validate] runs too). *)
 
 type hop = {
   node : string;
@@ -46,7 +46,7 @@ val replay : t -> Workload.Stream.t -> transit list
 
 (** {1 Soundness: measured vs composed bound} *)
 
-type violation = {
+type violation = Perf.Bound.violation = {
   packet_index : int;
   metric : Perf.Metric.t;
   bound : int;
@@ -54,15 +54,15 @@ type violation = {
   binding : Perf.Pcv.binding;
 }
 
-type report = {
+type report = Perf.Bound.report = {
   packets : int;
   violations : violation list;
   worst_headroom_pct : float;
 }
 
 val check : t -> worst:Perf.Cost_vec.t -> Workload.Stream.t -> report
-(** Replay the stream; for every packet, evaluate [worst] (IC and MA) at
-    the per-packet observed PCV binding — max-merged across hops — and
-    record a violation when the measured cost exceeds the bound. *)
+(** Replay the stream and check every packet with {!Perf.Bound}: [worst]
+    (IC and MA) at the packet's observed PCV binding, max-merged across
+    hops. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,14 +1,12 @@
 (* Analytic scoring: instantiate a spec's derived contract with the PCV
    distribution a Distiller replay harvested from the workload.
 
-   The pricing uses the exact algebra the pipeline certifies — the
-   symbolic per-packet worst case (Bolt.Pipeline.worst_case, the
-   monomial-wise max over every feasible path) evaluated at each
-   packet's observed PCV binding (per-PCV max over the packet's calls,
-   0 for PCVs the packet never exercised — the Validate convention).
-   Because every contract polynomial has non-negative coefficients, each
-   per-packet figure is a sound upper bound on that packet's cost, so
-   the predicted percentiles dominate the measured ones pointwise. *)
+   The pricing is the symbolic per-packet worst case the pipeline
+   certifies (Bolt.Pipeline.worst_case) evaluated by Perf.Bound at each
+   packet's observed PCVs.  Every contract polynomial has non-negative
+   coefficients, so each per-packet figure is a sound upper bound on that
+   packet's cost and the predicted percentiles dominate the measured
+   ones pointwise. *)
 
 type sample = (Perf.Pcv.t * int) list array
 (** Per-packet PCV observations, in stream order. *)
@@ -20,17 +18,6 @@ let harvest (entry : Nf.Registry.entry) stream =
       stream
   in
   Array.init (Distiller.Run.count t) (Distiller.Run.observations t)
-
-let binding_of ~universe observations : Perf.Pcv.binding =
-  List.map
-    (fun v ->
-      let value =
-        List.fold_left
-          (fun acc (p, x) -> if Perf.Pcv.equal p v then max acc x else acc)
-          0 observations
-      in
-      (v, value))
-    universe
 
 (* Nearest-rank percentile over a sorted column. *)
 let percentile sorted p =
@@ -54,23 +41,19 @@ type prediction = {
   p99_cycles : int;
 }
 
-let predict_packet ~worst binding metric =
-  Perf.Cost_vec.eval_exn binding worst metric
-
-let columns ~worst (sample : sample) =
-  let universe = Perf.Cost_vec.pcvs worst in
-  let bindings = Array.map (binding_of ~universe) sample in
-  let col metric =
-    let c = Array.map (fun b -> predict_packet ~worst b metric) bindings in
-    Array.sort compare c;
-    c
-  in
-  ( col Perf.Metric.Instructions,
-    col Perf.Metric.Memory_accesses,
-    col Perf.Metric.Cycles )
-
-let predict ~worst sample =
-  let ic, ma, cycles = columns ~worst sample in
+let predict ~worst (sample : sample) =
+  let acc = Perf.Bound.acc (Perf.Bound.compile worst) in
+  let n = Array.length sample in
+  let ic = Array.make n 0 and ma = Array.make n 0 and cycles = Array.make n 0 in
+  Array.iteri
+    (fun i observations ->
+      Perf.Bound.clear acc;
+      Perf.Bound.observe acc observations;
+      ic.(i) <- Perf.Bound.eval acc Perf.Metric.Instructions;
+      ma.(i) <- Perf.Bound.eval acc Perf.Metric.Memory_accesses;
+      cycles.(i) <- Perf.Bound.eval acc Perf.Metric.Cycles)
+    sample;
+  List.iter (Array.sort compare) [ ic; ma; cycles ];
   {
     p50_ic = percentile ic 50;
     p99_ic = percentile ic 99;

@@ -11,11 +11,6 @@ type sample = (Perf.Pcv.t * int) list array
 val harvest : Nf.Registry.entry -> Workload.Stream.t -> sample
 (** One compiled-path Distiller replay, null hardware model. *)
 
-val binding_of :
-  universe:Perf.Pcv.t list -> (Perf.Pcv.t * int) list -> Perf.Pcv.binding
-(** Per-PCV max over a packet's observations, 0 when unexercised — the
-    [Experiments.Validate] convention. *)
-
 val percentile : int array -> int -> int
 (** Nearest-rank percentile over a sorted column. *)
 
@@ -32,14 +27,10 @@ type prediction = {
   p99_cycles : int;
 }
 
-val predict_packet : worst:Perf.Cost_vec.t -> Perf.Pcv.binding ->
-  Perf.Metric.t -> int
-(** The symbolic per-packet worst case at one packet's binding — a sound
-    upper bound on that packet's cost. *)
-
 val predict : worst:Perf.Cost_vec.t -> sample -> prediction
 (** Predicted percentiles: evaluate [worst] at every packet's binding
-    and take nearest-rank p50/p99 per metric. *)
+    ({!Perf.Bound.eval}) and take nearest-rank p50/p99 per metric.  Each
+    per-packet figure is a sound upper bound on that packet's cost. *)
 
 val exposure_ic : Bolt.Pipeline.t -> Symbex.Iclass.t list -> int option
 (** Adversarial exposure: instruction bound at each class's own

@@ -72,20 +72,16 @@ let validate ~worst entry stream =
   let hw = Hw.Model.realistic () in
   let t = Distiller.Run.run ~hw ~dss entry.Nf.Registry.program stream in
   let n = Distiller.Run.count t in
-  let universe = Perf.Cost_vec.pcvs worst in
-  let sound = ref true in
+  let acc = Perf.Bound.acc (Perf.Bound.compile worst) in
   for i = 0 to n - 1 do
-    let binding = Score.binding_of ~universe (Distiller.Run.observations t i) in
-    let bound m = Score.predict_packet ~worst binding m in
-    if
-      Distiller.Run.ic t i > bound Perf.Metric.Instructions
-      || Distiller.Run.ma t i > bound Perf.Metric.Memory_accesses
-    then sound := false
+    Perf.Bound.clear acc;
+    Perf.Bound.observe acc (Distiller.Run.observations t i);
+    Perf.Bound.check acc ~ic:(Distiller.Run.ic t i) ~ma:(Distiller.Run.ma t i)
   done;
   let ic = sorted_column n (Distiller.Run.ic t) in
   let ma = sorted_column n (Distiller.Run.ma t) in
   let cycles = sorted_column n (Distiller.Run.cycles t) in
-  (ic, ma, cycles, !sound)
+  (ic, ma, cycles, (Perf.Bound.report acc).Perf.Bound.violations = [])
 
 let run ~nf ?backends ?capacities ?(packets = 512) ?(seed = 42) () =
   let backends =

@@ -13,6 +13,7 @@ let flow rng ?proto () =
     ~proto
 
 let distinct_flows rng ?proto n =
+  if n < 0 then invalid_arg "Gen.distinct_flows: negative count";
   let seen = Hashtbl.create n in
   let rec draw acc k =
     if k = 0 then List.rev acc

@@ -4,7 +4,8 @@ val flow : Prng.t -> ?proto:int -> unit -> Net.Flow.t
 (** A random internal-network flow (10.0.0.0/16 sources). *)
 
 val distinct_flows : Prng.t -> ?proto:int -> int -> Net.Flow.t list
-(** n flows with distinct 5-tuples. *)
+(** n flows with distinct 5-tuples; raises [Invalid_argument] if
+    [n < 0]. *)
 
 val packets_of_flows : Net.Flow.t list -> Net.Packet.t list
 

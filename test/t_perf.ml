@@ -185,6 +185,103 @@ let test_contract () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate classes accepted")
 
+(* ---- Perf.Bound: the compiled per-packet check ------------------------ *)
+
+(* PCVs for polynomials and observations: tracked ones, ones only a
+   polynomial can bring into the slots ([l], [x]), and one no slot ever
+   holds ([z]). *)
+let bound_pcvs = Pcv.[ expired; collisions; traversals; occupancy; scan;
+                       ip_options; prefix_len; v "x"; v "z" ]
+
+(* Zero, small, and large enough that products wrap. *)
+let gen_value =
+  QCheck2.Gen.(
+    oneof [ pure 0; int_range 1 5; int_range (1 lsl 20) (1 lsl 40); pure max_int ])
+
+let gen_bound_pcv = QCheck2.Gen.oneofl bound_pcvs
+
+(* Up to three variables per monomial, repeats allowed: exponents up to 3. *)
+let gen_bound_poly =
+  QCheck2.Gen.(
+    list_size (int_range 0 6)
+      (pair gen_value (list_size (int_range 0 3) gen_bound_pcv))
+    >|= List.map (fun (k, vs) -> Perf_expr.term k vs)
+    >|= Perf_expr.sum)
+
+let gen_bound_case =
+  QCheck2.Gen.(
+    pair
+      (triple gen_bound_poly gen_bound_poly gen_bound_poly)
+      (list_size (int_range 0 3)
+         (list_size (int_range 0 8) (pair gen_bound_pcv gen_value))))
+
+let prop_bound_matches_eval =
+  QCheck2.Test.make ~count:500
+    ~name:"Bound.eval is Cost_vec.eval_exn at the max-merged binding"
+    gen_bound_case
+    (fun ((ic, ma, cycles), hops) ->
+      let worst = Cost_vec.make ~ic ~ma ~cycles in
+      let acc = Bound.acc (Bound.compile worst) in
+      Bound.clear acc;
+      List.iter (Bound.observe acc) hops;
+      let binding =
+        List.map
+          (fun p ->
+            ( p,
+              List.fold_left
+                (List.fold_left (fun m (q, v) ->
+                     if Pcv.equal p q then max m v else m))
+                0 hops ))
+          (Cost_vec.pcvs worst)
+      in
+      List.for_all
+        (fun m -> Bound.eval acc m = Cost_vec.eval_exn binding worst m)
+        Metric.all)
+
+(* Minor words [f ()] allocates, less the probe's own cost. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  let w2 = Gc.minor_words () in
+  int_of_float (w1 -. w0 -. (w2 -. w1))
+
+let test_bound_no_alloc () =
+  let worst =
+    Cost_vec.make ~ic:vignat
+      ~ma:(Perf_expr.add_const 7 (Perf_expr.term 2 [ t_; t_ ]))
+      ~cycles:(Perf_expr.scale 9 vignat)
+  in
+  let acc = Bound.acc (Bound.compile worst) in
+  let observations =
+    Array.init 64 (fun i ->
+        [ (e, i mod 3); (c, i mod 5); (Pcv.prefix_len, i); (t_, i mod 2) ])
+  in
+  let packets () =
+    for i = 0 to 9_999 do
+      Bound.clear acc;
+      Bound.observe acc observations.(i land 63);
+      Bound.observe acc [];
+      ignore (Bound.eval acc Metric.Cycles : int);
+      Bound.check acc ~ic:(400 + (i land 7)) ~ma:(i land 3)
+    done
+  in
+  packets ();
+  check_int "clear, observe, eval, check" 0 (minor_words packets);
+  let r = Bound.report acc in
+  check_int "packets" 20_000 r.Bound.packets;
+  check_bool "within the bound" true (r.Bound.violations = []);
+  check_bool "headroom tightened" true (r.Bound.worst_headroom_pct < 100.);
+  (* a violation carries every slot's value, tracked PCVs first sorted *)
+  let acc = Bound.acc (Bound.compile worst) in
+  Bound.clear acc;
+  Bound.observe acc [ (e, 1); (Pcv.v "z", 4) ];
+  Bound.check acc ~ic:10_000 ~ma:0;
+  check_string "violation"
+    "CONTRACT VIOLATED on 1 of 1 packets:\n\
+    \  packet 0: IC bound 784 < measured 10000 at c=0, e=1, n=0, o=0, s=0, t=0\n"
+    (Fmt.str "%a" (Bound.pp_report ~subject:"contract") (Bound.report acc))
+
 let suite =
   [
     Alcotest.test_case "pcv validation" `Quick test_pcv_validation;
@@ -200,4 +297,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_max_upper_sound;
     QCheck_alcotest.to_alcotest prop_eval_additive;
     QCheck_alcotest.to_alcotest prop_eval_multiplicative;
+    Alcotest.test_case "bound check allocates nothing" `Quick
+      test_bound_no_alloc;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
+      prop_bound_matches_eval;
   ]

@@ -52,6 +52,13 @@ let test_distinct_flows () =
         || f.Net.Flow.proto = Net.Ipv4.proto_udp))
     flows
 
+let test_distinct_flows_negative () =
+  let rng = Workload.Prng.create ~seed:4 in
+  check_int "none" 0 (List.length (Workload.Gen.distinct_flows rng 0));
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Gen.distinct_flows: negative count") (fun () ->
+      ignore (Workload.Gen.distinct_flows rng (-4)))
+
 let test_packets_parse_back () =
   let rng = Workload.Prng.create ~seed:5 in
   let flows = Workload.Gen.distinct_flows rng 50 in
@@ -399,4 +406,6 @@ let suite =
       test_soak_lpm_attack_hits_tbl8;
     Alcotest.test_case "contract diff" `Quick test_contract_diff;
     Alcotest.test_case "sensitivity sweep" `Quick test_sensitivity_sweep;
+    Alcotest.test_case "distinct flows rejects a negative count" `Quick
+      test_distinct_flows_negative;
   ]
