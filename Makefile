@@ -16,8 +16,9 @@ test-one-core:
 # What the CI lint job runs: formatting (a no-op without ocamlformat
 # installed), a warning-clean build of everything (dune emits nothing when clean), the
 # build-flags guard, the single-walker guard — the only IR traversal lives in lib/ir —
-# the one-scale-driver guard over the front-ends, and the one-domain guard that keeps
-# Exec.Pool out of contract, tuner and topology analysis.
+# the one-scale-driver guard over the front-ends, the one-domain guard that keeps
+# Exec.Pool out of contract, tuner and topology analysis, and the witness guard
+# that keeps whole-set Solve.check out of lib/bolt and lib/topo.
 DEV_FLAGS := -w @1..3@5..28@30..39@43@46..47@49..57@61..62-40 -strict-sequence -strict-formats -short-paths -keep-locs
 HASH_MAP_CMX := _build/default/lib/dslib/.dslib.objs/native/dslib__Hash_map.cmx
 
@@ -117,6 +118,13 @@ lint:
 	  echo "lint: the sharded dataplane's per-packet paths must stay on the"; \
 	  echo "      specialized engine (Exec.Specialize), never the interpreter"; \
 	  echo "      or the generic Ds dispatch:"; \
+	  echo "$$hits"; exit 1; \
+	fi
+	@hits=$$(grep -rn "Solve\.check" lib/bolt lib/topo --include='*.ml' || true); \
+	if [ -n "$$hits" ]; then \
+	  echo "lint: path and route witnesses are solved one independent"; \
+	  echo "      component at a time (Solver.Cache.witness), never by"; \
+	  echo "      Solve.check on the whole set:"; \
 	  echo "$$hits"; exit 1; \
 	fi
 

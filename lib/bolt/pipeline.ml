@@ -202,11 +202,11 @@ let replay_matches (action : Symbex.Path.action)
 
 let c_diverged = Obs.Metrics.counter "pipeline.replay_diverged"
 
-let witness (engine : Symbex.Engine.result) (path : Symbex.Path.t) =
+let witness memo (engine : Symbex.Engine.result) (path : Symbex.Path.t) =
   Obs.Span.with_ ~cat:"pipeline" "solve"
     ~args:(fun () -> [ ("path", string_of_int path.Symbex.Path.id) ])
   @@ fun () ->
-  match Solver.Solve.check path.Symbex.Path.constraints with
+  match Solver.Cache.witness memo path.Symbex.Path.constraints with
   | Solver.Solve.Unsat | Solver.Solve.Unknown -> None
   | Solver.Solve.Sat model ->
       let len =
@@ -239,15 +239,16 @@ let analyze ~(config : Config.t) program =
       ~models:config.Config.models program
   in
   let contracts = config.Config.contracts in
-  (* Witness-solve and replay of one path.  Everything mutable — the
-     meter, the hardware model, the witness packet — is created here,
-     per task, so paths can be processed on any domain; the engine
-     result and the contract library are immutable and shared. *)
+  (* paths share prefixes, so their witnesses share components *)
+  let memo = Solver.Cache.memo () in
+  (* Witness-solve and replay of one path.  The meter, the hardware
+     model and the witness packet are created here, per path; the
+     engine result and the contract library are immutable and shared. *)
   let solve_path path =
     Obs.Span.with_ ~cat:"pipeline" "path"
       ~args:(fun () -> [ ("path", string_of_int path.Symbex.Path.id) ])
     @@ fun () ->
-    match witness engine path with
+    match witness memo engine path with
     | None -> None
     | Some (packet, stubs, in_port, now) -> (
         match

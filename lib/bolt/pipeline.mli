@@ -143,9 +143,14 @@ val analyze_replay :
     {!replay_witness}, which produced the trace. *)
 
 val witness :
-  Symbex.Engine.result -> Symbex.Path.t ->
+  Solver.Cache.memo -> Symbex.Engine.result -> Symbex.Path.t ->
   (Net.Packet.t * int list * int * int) option
-(** Solve a path's constraints: [(packet, stubs, in_port, now)]. *)
+(** Solve a path's constraints with {!Solver.Cache.witness}, one
+    independent component at a time, remembering component verdicts in
+    [memo] (one per derivation: {!analyze} makes its own), and
+    concretize the model: [(packet, stubs, in_port, now)].  The model is
+    the one {!Solver.Solve.check} finds on the whole set whenever no
+    budget binds in that solve. *)
 
 val replay_matches : Symbex.Path.action -> Exec.Interp.outcome -> bool
 (** Action-kind agreement between a symbolic path and a concrete replay

@@ -137,8 +137,12 @@ let insert key verdict =
         Queue.add key clock
       end)
 
-(* Defaults mirror {!Solve.check}. *)
-let check ?(max_conjuncts = 4096) ?(max_nodes = 20_000) constraints =
+(* {!Solve.check}'s default budgets *)
+let default_max_conjuncts = 4096
+let default_max_nodes = 20_000
+
+let check ?(max_conjuncts = default_max_conjuncts)
+    ?(max_nodes = default_max_nodes) constraints =
   if Atomic.get bypass then
     Solve.check ~max_conjuncts ~max_nodes constraints
   else
@@ -277,6 +281,59 @@ let feasible ~known extra =
   Obs.Metrics.add c_slice_dropped dropped;
   is_sat ~max_conjuncts:feasibility_max_conjuncts
     ~max_nodes:feasibility_max_nodes cs
+
+(* ---- Witnesses, one independent component at a time ----------------- *)
+
+(* A derivation's table of component verdicts, keyed like the shared
+   table but on the component exactly as given (order kept: a model
+   depends on the DNF walk's order), under the default budgets. *)
+type memo = Solve.result H.t
+
+let memo () = H.create 64
+
+let solve_component memo atoms =
+  let max_conjuncts = default_max_conjuncts
+  and max_nodes = default_max_nodes in
+  let fp = fingerprint ~max_conjuncts ~max_nodes atoms in
+  let key = { fp; max_conjuncts; max_nodes; atoms } in
+  match H.find_opt memo key with
+  | Some r -> r
+  | None ->
+      let r = Solve.check ~max_conjuncts ~max_nodes atoms in
+      H.add memo key r;
+      r
+
+(* [cs] split into symbol-disjoint components, each a list of whole
+   constraints in their order in [cs], components in order of first
+   appearance; the symbol-free constraints are one more component. *)
+let components cs =
+  let s = Domain.DLS.get union_find_key in
+  s.epoch <- s.epoch + 1;
+  List.iter (fun c -> ignore (link s (-1) c)) cs;
+  let groups =
+    List.fold_left
+      (fun groups c ->
+        let i = first_id c in
+        let root = if i < 0 then -1 else find s i in
+        match List.find_opt (fun (r, _) -> r = root) groups with
+        | Some (_, members) ->
+            members := c :: !members;
+            groups
+        | None -> (root, ref [ c ]) :: groups)
+      [] cs
+  in
+  List.rev_map (fun (_, members) -> List.rev !members) groups
+
+let witness memo cs =
+  let rec merge model unknown = function
+    | [] -> if unknown then Solve.Unknown else Solve.Sat model
+    | comp :: rest -> (
+        match solve_component memo comp with
+        | Solve.Unsat -> Solve.Unsat
+        | Solve.Unknown -> merge model true rest
+        | Solve.Sat m -> merge (Model.union model m) unknown rest)
+  in
+  merge Model.empty false (components cs)
 
 let stats () =
   Mutex.protect lock (fun () ->

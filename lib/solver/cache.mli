@@ -67,6 +67,32 @@ val feasible : known:Constr.t list -> Constr.t list -> bool
     decided on the smaller slice.  [Unknown] counts as satisfiable, as
     in {!is_sat}. *)
 
+type memo
+(** Component verdicts remembered for one derivation.  Each [analyze] or
+    topology [run] makes its own; nothing is shared between them, and
+    the table above and its counters are not touched. *)
+
+val memo : unit -> memo
+
+val witness : memo -> Constr.t list -> Solve.result
+(** [witness memo cs] solves [cs] for a witness one independent
+    component at a time.  Each constraint of [cs] is one unit; units
+    that share a symbol id, transitively, form a component, and the
+    symbol-free ones form one more.  Each component keeps the order its
+    constraints have in [cs], is solved by {!Solve.check} under the
+    default budgets (looked up in [memo] first), and the models are
+    merged.  [Unsat] when a component is [Unsat]; otherwise [Unknown]
+    when one is [Unknown].
+
+    When no budget binds in [Solve.check cs], [witness] returns the
+    same verdict and the same model: independent parts make the whole
+    set's first satisfiable DNF conjunct the tuple of each part's
+    first, and the search on it moves each part's symbols as that
+    part's own search does.  The parts together can exhaust a budget
+    none exhausts alone; the whole set may then be [Unknown], or take a
+    later conjunct's model, where [witness] decides or takes the
+    earlier one. *)
+
 val stats : unit -> stats
 (** Cumulative hit/miss/eviction counters since start or the last
     {!reset}. *)

@@ -11,6 +11,7 @@ let value t s =
   | None -> fst (Sym.bounds s)
 
 let mem t s = IM.mem (Sym.id s) t
+let union a b = IM.union (fun _ x _ -> Some x) a b
 let bindings t = List.map snd (IM.bindings t)
 let eval t lin = Linexpr.eval (value t) lin
 

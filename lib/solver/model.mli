@@ -13,6 +13,11 @@ val value : t -> Sym.t -> int
     does not constrain [s]. *)
 
 val mem : t -> Sym.t -> bool
+
+val union : t -> t -> t
+(** [union a b] assigns every symbol of [a] and of [b]; where both
+    assign one, [a]'s value wins. *)
+
 val bindings : t -> (Sym.t * int) list
 val eval : t -> Linexpr.t -> int
 val pp : Format.formatter -> t -> unit

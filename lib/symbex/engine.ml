@@ -50,8 +50,8 @@ type st = {
 
 let decide st b = if st.in_pcv then st else { st with decis = b :: st.decis }
 
-let explore ?(max_paths = 8192) ?(initial = []) ?shared ?concrete ?pin_port
-    ~models (program : Ir.Program.t) =
+let explore ?(max_paths = 8192) ?(accepted = []) ?(initial = []) ?shared
+    ?concrete ?pin_port ~models (program : Ir.Program.t) =
   Obs.Span.with_ ~cat:"symbex" "explore"
     ~args:(fun () -> [ ("program", program.Ir.Program.name) ])
   @@ fun () ->
@@ -117,9 +117,9 @@ let explore ?(max_paths = 8192) ?(initial = []) ?shared ?concrete ?pin_port
   in
   let fork st branches =
     (* each branch: (extra constraints, continuation).  [st.checked]
-       was accepted, so only what was added since — side constraints,
-       [initial] before the first check, and the branch's own — seeds
-       the slice that is solved. *)
+       was accepted ([accepted] before the first check), so only what
+       was added since — side constraints, [initial] before the first
+       check, and the branch's own — seeds the slice that is solved. *)
     List.iter
       (fun (extra, k) ->
         let st' = List.fold_left add_con st extra in
@@ -274,9 +274,9 @@ let explore ?(max_paths = 8192) ?(initial = []) ?shared ?concrete ?pin_port
     {
       env = SM.empty |> SM.add "in_port" in_port_v |> SM.add "now" now_v;
       view = view0;
-      cons = List.rev initial;
-      conset = CS.of_list initial;
-      checked = [];
+      cons = List.rev_append initial (List.rev accepted);
+      conset = CS.of_list (accepted @ initial);
+      checked = List.rev accepted;
       unchecked = List.rev initial;
       calls = [];
       loops = [];

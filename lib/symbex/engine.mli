@@ -5,13 +5,14 @@
     (paper Alg. 2, line 3).  Forks happen at branches on symbolic
     conditions and at model branches; infeasible forks are pruned with the
     solver.  Each fork is judged by {!Solver.Cache.feasible} with [known]
-    the state's constraints as of its last accepted check, and the seed
-    everything added since: load and drain side constraints, the
-    branch's own constraints and, until the first check, [initial] and
-    the pinned [in_port] — so no precondition falls on the caller.  Loops are either unrolled (fork per trip count) or
-    parameterised by a PCV (body executed once, assigned variables
-    havocked — the trip count surfaces in the contract instead of the
-    path count). *)
+    the state's constraints as of its last accepted check ([accepted]
+    before the first), and the seed everything added since: load and
+    drain side constraints, the branch's own constraints and, until the
+    first check, [initial] and the pinned [in_port].  The caller's one
+    precondition is that [accepted] is satisfiable.  Loops are either
+    unrolled (fork per trip count) or parameterised by a PCV (body
+    executed once, assigned variables havocked — the trip count
+    surfaces in the contract instead of the path count). *)
 
 type result = {
   paths : Path.t list;
@@ -25,6 +26,7 @@ type result = {
 
 val explore :
   ?max_paths:int ->
+  ?accepted:Solver.Constr.t list ->
   ?initial:Solver.Constr.t list ->
   ?shared:Solver.Sym.gen * Spacket.view ->
   ?concrete:Net.Packet.t * int * int ->
@@ -35,7 +37,10 @@ val explore :
 (** [explore ~models program] runs the program on a fresh symbolic packet.
     [shared] reuses an existing generator and packet view — that is how
     chain composition executes the downstream NF on the upstream NF's
-    symbolic output (§3.4).  [initial] seeds the path constraints.
+    symbolic output (§3.4).  [accepted] and then [initial] seed the path
+    constraints; [accepted] counts as already checked (a feasibility
+    check upstream accepted it), so the first fork solves only its
+    slice, and it must be satisfiable.
     [pin_port] constrains the (still symbolic) [in_port] to a known value:
     a topology edge that delivers the packet on port [p] pins the
     downstream NF's ingress port without changing how models or the

@@ -18,8 +18,9 @@ type t = {
   constraints : Solver.Constr.t list;
   checked : int;
       (** the first [checked] members of [constraints] are the set the
-          path's last accepted feasibility check covered; the rest are
-          load and side constraints the engine added after it, unchecked *)
+          path's last accepted feasibility check covered (the explore's
+          [accepted] when the path never forked); the rest were added
+          after it, unchecked *)
   calls : call list;  (** in call order *)
   loops : pcv_loop list;
   decisions : bool list;

@@ -16,6 +16,7 @@ type route = {
   steps : step list;
   egress : egress;
   constraints : Solver.Constr.t list;
+  witness : Solver.Model.t;
   cost : Cost_vec.t;
 }
 
@@ -86,10 +87,11 @@ let walk ?max_paths ~models graph entries =
   let emit steps_rev egress cons =
     pending := (steps_rev, egress, cons) :: !pending
   in
-  let rec descend steps_rev node view cons pin =
+  let rec descend steps_rev node view (accepted, unchecked) pin =
     let engine =
-      Symbex.Engine.explore ?max_paths ~shared:(gen, view) ~initial:cons
-        ?pin_port:pin ~models (List.assoc node entries).Nf.Registry.program
+      Symbex.Engine.explore ?max_paths ~shared:(gen, view) ~accepted
+        ~initial:unchecked ?pin_port:pin ~models
+        (List.assoc node entries).Nf.Registry.program
     in
     if !ingress_engine = None then ingress_engine := Some engine;
     List.iter
@@ -117,7 +119,7 @@ let walk ?max_paths ~models graph entries =
           (Exited { node; label = Graph.default_exit })
           path.Symbex.Path.constraints
     | [ { Graph.sel = Graph.Any; target; _ } ] ->
-        follow steps_rev node path path.Symbex.Path.constraints target None
+        follow steps_rev node path (Symbex.Path.split_checked path) target None
     | edges ->
         (* every edge carries a [Port] selector (validated): constrain the
            forwarded value, prune infeasible (port, path) tuples, and send
@@ -143,7 +145,7 @@ let walk ?max_paths ~models graph entries =
             let added = Solver.Constr.eq lin (Solver.Linexpr.const p) :: side in
             if feasible added then
               follow steps_rev node path
-                (path.Symbex.Path.constraints @ added)
+                (path.Symbex.Path.constraints @ added, [])
                 target (Some p)
             else incr infeasible)
           ports;
@@ -158,12 +160,15 @@ let walk ?max_paths ~models graph entries =
             (Exited { node; label = Graph.default_exit })
             (path.Symbex.Path.constraints @ added)
         else incr infeasible
+  (* [cons] is (accepted, unchecked): the route's constraints so far,
+     split where the last feasibility check left them *)
   and follow steps_rev node (path : Symbex.Path.t) cons target pin =
     match target with
-    | Graph.Exit label -> emit steps_rev (Exited { node; label }) cons
+    | Graph.Exit label ->
+        emit steps_rev (Exited { node; label }) (fst cons @ snd cons)
     | Graph.Node next -> descend steps_rev next path.Symbex.Path.view cons pin
   in
-  descend [] graph.Graph.ingress view0 [] None;
+  descend [] graph.Graph.ingress view0 ([], []) None;
   (List.rev !pending, !infeasible, input, Option.get !ingress_engine)
 
 let run ?max_paths ?(models = Bolt.Ds_models.default) graph =
@@ -185,10 +190,12 @@ let run ?max_paths ?(models = Bolt.Ds_models.default) graph =
         walk ?max_paths ~models graph entries)
   in
   (* A route is kept when its joint constraints have a witness and every
-     traversed node replays on it; the rest are counted as unsolved. *)
+     traversed node replays on it; the rest are counted as unsolved.
+     Routes through the same ingress path share its components. *)
+  let memo = Solver.Cache.memo () in
   let finalize (steps_rev, egress, constraints) =
     let steps = List.rev steps_rev in
-    match Solver.Solve.check constraints with
+    match Solver.Cache.witness memo constraints with
     | Solver.Solve.Unsat | Solver.Solve.Unknown -> None
     | Solver.Solve.Sat model -> (
         let packet = concretize_packet model input in
@@ -199,7 +206,7 @@ let run ?max_paths ?(models = Bolt.Ds_models.default) graph =
                 (replay_cost (List.assoc st.node entries) model packet st))
             Cost_vec.zero steps
         with
-        | cost -> Some { steps; egress; constraints; cost }
+        | cost -> Some { steps; egress; constraints; witness = model; cost }
         | exception
             ( Failure _ | Bolt.Pipeline.Replay_divergence _
             | Exec.Interp.Stuck _ ) ->

@@ -14,10 +14,16 @@
     is the path's checked prefix ({!Symbex.Path.split_checked}), which
     exploration accepted, and the seed is the edge's [out_port = p] (or
     [<> p] for every declared [p]) with the value's side constraints and
-    the path's unchecked tail.  Each route's witness is still solved on
-    its whole constraint set.  Two spans time the phases: [topo.walk]
-    (exploration and edge checks) and [topo.finalize] (witness solves and
-    replays). *)
+    the path's unchecked tail.  A downstream node is explored with what
+    the walk accepted as [~accepted] (the whole route after a port
+    edge, the path's checked prefix after an [Any] edge) and only an
+    [Any] edge's unchecked tail as [~initial], so its first fork solves
+    a slice too.  Each route's witness is solved by
+    {!Solver.Cache.witness}, one independent constraint component at a
+    time, with component verdicts remembered for the run: routes that
+    share an ingress path share most of their components.  Two spans
+    time the phases: [topo.walk] (exploration and edge checks) and
+    [topo.finalize] (witness solves and replays). *)
 
 type egress =
   | Exited of { node : string; label : string }
@@ -39,6 +45,9 @@ type route = {
   constraints : Solver.Constr.t list;
       (** joint constraints of the whole route, including the
           port-selection constraints of traversed edges *)
+  witness : Solver.Model.t;
+      (** the model of [constraints] every step was replayed on, from
+          {!Solver.Cache.witness} *)
   cost : Perf.Cost_vec.t;  (** sum of per-node replayed costs *)
 }
 

@@ -25,29 +25,3 @@ let of_pcap ?(in_port = 0) records =
     records
 
 let length = List.length
-
-let check_bin ~bins b =
-  if b < 0 || b >= bins then
-    invalid_arg
-      (Printf.sprintf "Stream: steering function returned bin %d of %d" b
-         bins)
-
-let histogram ~bins ~by t =
-  let h = Array.make bins 0 in
-  List.iter
-    (fun e ->
-      let b = by e in
-      check_bin ~bins b;
-      h.(b) <- h.(b) + 1)
-    t;
-  h
-
-let partition ~bins ~by t =
-  let rev = Array.make bins [] in
-  List.iter
-    (fun e ->
-      let b = by e in
-      check_bin ~bins b;
-      rev.(b) <- e :: rev.(b))
-    t;
-  Array.map List.rev rev

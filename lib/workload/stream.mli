@@ -13,20 +13,3 @@ val constant_rate : ?in_port:int -> start:int -> gap:int ->
 val to_pcap : t -> Net.Pcap.record list
 val of_pcap : ?in_port:int -> Net.Pcap.record list -> t
 val length : t -> int
-
-(** {1 Sharding helpers}
-
-    A sharded dataplane slices one arrival stream into per-shard
-    sub-streams and prices the slicing's balance; both operations are
-    generic in the steering function so the dispatcher (and tests) can
-    reuse them. *)
-
-val histogram : bins:int -> by:(entry -> int) -> t -> int array
-(** Per-bin entry counts under the steering function [by] — the
-    flow-hash histogram whose maximum is the scalability contract's
-    skew term.  Raises [Invalid_argument] if [by] leaves [0, bins). *)
-
-val partition : bins:int -> by:(entry -> int) -> t -> t array
-(** Slice the stream into [bins] sub-streams, preserving arrival order
-    within each: the shared-nothing shard queues of the dataplane.
-    Entries are shared, not copied. *)

@@ -747,6 +747,134 @@ let prop_disjunctions_match_reference =
       if want = got then true
       else QCheck2.Test.fail_reportf "reference: %s@.kernel:    %s" want got)
 
+(* Component-structured sets, shaped like [Proptest.Oracle]'s slicing
+   cases: 1-2 symbols in each of 2-3 groups, and each constraint over one
+   group or, one time in five, two adjacent ones, so components chain and
+   the union must be transitive.  Constraints are comparisons of small
+   linear combinations, [ne]-style [Or]s among them, with a little
+   conj/disj/negation nesting; about one in eight is symbol-free ([True],
+   [False], or a constant [Le]/[Eqz] atom the builders would have
+   folded).  A case is a base and 1-3 extensions, as paths share a
+   prefix: the base grows as exploration's accepted set does (a
+   candidate joins only if the set stays provably Sat), and an
+   extension may make it unsatisfiable. *)
+let gen_component_case =
+  let open QCheck2.Gen in
+  let* ngroups = int_range 2 3 in
+  let* his =
+    list_repeat ngroups (list_size (int_range 1 2) (int_range 1 1000))
+  in
+  let g = Sym.gen () in
+  let groups =
+    Array.of_list
+      (List.mapi
+         (fun gi his ->
+           Array.of_list
+             (List.mapi
+                (fun i hi ->
+                  Sym.fresh g ~lo:0 ~hi (Printf.sprintf "g%d_%d" gi i))
+                his))
+         his)
+  in
+  let lin syms =
+    let* c = int_range (-30) 29 in
+    let* terms =
+      list_repeat (Array.length syms)
+        (let* on = float_bound_inclusive 1.0 in
+         let* k = int_range (-3) 3 in
+         return (if on < 0.6 then k else 0))
+    in
+    return
+      (List.fold_left2
+         (fun acc s k -> Linexpr.add acc (Linexpr.scale k (Linexpr.sym s)))
+         (Linexpr.const c) (Array.to_list syms) terms)
+  in
+  let atom syms =
+    let* a = lin syms in
+    let* b = lin syms in
+    oneofl
+      [
+        Constr.le a b; Constr.lt a b; Constr.ge a b; Constr.gt a b;
+        Constr.eq a b; Constr.ne a b;
+      ]
+  in
+  let rec constr syms depth =
+    if depth <= 0 then atom syms
+    else
+      let sub = constr syms (depth - 1) in
+      let* k = int_range 0 3 in
+      match k with
+      | 0 -> map2 (fun a b -> Constr.conj [ a; b ]) sub sub
+      | 1 -> map2 (fun a b -> Constr.disj [ a; b ]) sub sub
+      | 2 -> map Constr.not_ sub
+      | _ -> atom syms
+  in
+  let symbol_free =
+    let* k = int_range (-2) 2 in
+    oneofl
+      [
+        Constr.True;
+        Constr.False;
+        Constr.Atom (Constr.Le (Linexpr.const k));
+        Constr.Atom (Constr.Eqz (Linexpr.const k));
+      ]
+  in
+  let one =
+    let* free = int_range 0 7 in
+    if free = 0 then symbol_free
+    else
+      let* gi = int_range 0 (ngroups - 1) in
+      let* join = int_range 0 4 in
+      let syms =
+        if gi + 1 < ngroups && join = 0 then
+          Array.append groups.(gi) groups.(gi + 1)
+        else groups.(gi)
+      in
+      let* depth = int_range 0 1 in
+      constr syms depth
+  in
+  let* candidates = list_size (int_range 3 12) one in
+  let base =
+    List.fold_left
+      (fun kept c ->
+        match Solve.check (kept @ [ c ]) with
+        | Solve.Sat _ -> kept @ [ c ]
+        | Solve.Unsat | Solve.Unknown -> kept)
+      [] candidates
+  in
+  let* next = int_range 1 3 in
+  let* exts = list_repeat next (list_size (int_range 0 4) one) in
+  return (base, exts)
+
+let print_component_case (base, exts) =
+  let set = Fmt.(list ~sep:(any " &&@ ") Constr.pp) in
+  Fmt.str "base: %a@.%a" set base
+    Fmt.(list ~sep:cut (fun ppf e -> pf ppf "ext: %a" set e))
+    exts
+
+(* The component solver against the whole-set solve: whenever the whole
+   set is decided, the same verdict and the same bindings, with one memo
+   shared across a case's sets. *)
+let prop_witness_matches_whole_set =
+  QCheck2.Test.make ~count:1000 ~print:print_component_case
+    ~name:"solver: component witness equals the whole-set solve"
+    gen_component_case
+    (fun (base, exts) ->
+      let memo = Cache.memo () in
+      List.for_all
+        (fun ext ->
+          let cs = base @ ext in
+          match Solve.check cs with
+          | Solve.Unknown -> true
+          | whole ->
+              let want = render whole in
+              let got = render (Cache.witness memo cs) in
+              if want = got then true
+              else
+                QCheck2.Test.fail_reportf "whole set: %s@.components: %s" want
+                  got)
+        exts)
+
 (* x <= y - 1 && y <= x shrinks each bound by one per round, so over
    [0, 300] propagation empties the store in about 150 rounds, while over
    [0, 450] and u32 it stops at the 200-round cap and the search splits.
@@ -841,9 +969,9 @@ let nf_witnesses buf =
         t.Bolt.Pipeline.analyses)
     (Nf.Registry.all ())
 
-(* Each route's witness, replayed step by step with that node's own
-   in_port and now; a step is tagged by its node's position in the graph
-   and its path id. *)
+(* Each route's witness — the model finalize replayed the route on —
+   read step by step with that node's own in_port and now; a step is
+   tagged by its node's position in the graph and its path id. *)
 let topo_witnesses buf =
   List.iter
     (fun (b : Topo.Builtin.entry) ->
@@ -861,34 +989,31 @@ let topo_witnesses buf =
         (List.length t.Topo.Analysis.routes) t.Topo.Analysis.unsolved;
       List.iter
         (fun (route : Topo.Analysis.route) ->
-          match Solve.check route.Topo.Analysis.constraints with
-          | Solve.Unsat | Solve.Unknown ->
-              Alcotest.fail "route lost its witness"
-          | Solve.Sat m ->
-              let input = t.Topo.Analysis.input in
-              let len = Model.value m (Symbex.Spacket.len_sym input) in
-              let packet = Net.Packet.create len in
-              List.iter
-                (fun (off, s) ->
-                  if off < len then
-                    Net.Packet.set_u8 packet off (Model.value m s land 0xff))
-                (Symbex.Spacket.known_bytes input);
-              List.iter
-                (fun (st : Topo.Analysis.step) ->
-                  let path = st.Topo.Analysis.path in
-                  add_witness buf
-                    ~tag:
-                      (Printf.sprintf "%d:%d"
-                         (index st.Topo.Analysis.node)
-                         path.Symbex.Path.id)
-                    ~packet
-                    ~stubs:
-                      (List.map
-                         (fun c -> Model.eval m c.Symbex.Path.ret)
-                         path.Symbex.Path.calls)
-                    ~in_port:(Model.value m st.Topo.Analysis.in_port)
-                    ~now:(Model.value m st.Topo.Analysis.now))
-                route.Topo.Analysis.steps)
+          let m = route.Topo.Analysis.witness in
+          let input = t.Topo.Analysis.input in
+          let len = Model.value m (Symbex.Spacket.len_sym input) in
+          let packet = Net.Packet.create len in
+          List.iter
+            (fun (off, s) ->
+              if off < len then
+                Net.Packet.set_u8 packet off (Model.value m s land 0xff))
+            (Symbex.Spacket.known_bytes input);
+          List.iter
+            (fun (st : Topo.Analysis.step) ->
+              let path = st.Topo.Analysis.path in
+              add_witness buf
+                ~tag:
+                  (Printf.sprintf "%d:%d"
+                     (index st.Topo.Analysis.node)
+                     path.Symbex.Path.id)
+                ~packet
+                ~stubs:
+                  (List.map
+                     (fun c -> Model.eval m c.Symbex.Path.ret)
+                     path.Symbex.Path.calls)
+                ~in_port:(Model.value m st.Topo.Analysis.in_port)
+                ~now:(Model.value m st.Topo.Analysis.now))
+            route.Topo.Analysis.steps)
         t.Topo.Analysis.routes)
     (Topo.Builtin.all ())
 
@@ -1005,6 +1130,9 @@ let suite =
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 17 |])
       prop_disjunctions_match_reference;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 18 |])
+      prop_witness_matches_whole_set;
     QCheck_alcotest.to_alcotest prop_solver_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_cache_matches_solve;
   ]

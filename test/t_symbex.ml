@@ -204,9 +204,10 @@ let test_iclass_matching () =
 let test_witness_replay_consistency () =
   (* for every NAT path, the solved witness replays to the same action *)
   let result = explore Nf.Nat.program in
+  let memo = Solver.Cache.memo () in
   List.iter
     (fun path ->
-      match Bolt.Pipeline.witness result path with
+      match Bolt.Pipeline.witness memo result path with
       | None -> Alcotest.fail "unsolvable path"
       | Some (packet, stubs, in_port, now) ->
           let meter = Exec.Meter.create (Hw.Model.null ()) in
