@@ -127,6 +127,13 @@ lint:
 	  echo "      Solve.check on the whole set:"; \
 	  echo "$$hits"; exit 1; \
 	fi
+	@hits=$$(grep -rnE "~trace:true|Exec\.Meter\.events" lib/bolt lib/topo --include='*.ml' || true); \
+	if [ -n "$$hits" ]; then \
+	  echo "lint: a witness is priced inside the replay that runs it (the"; \
+	  echo "      meter's marker hook), never by recording the replay's events"; \
+	  echo "      and walking them again:"; \
+	  echo "$$hits"; exit 1; \
+	fi
 
 # Regenerate every table and figure of the paper (plus extensions).
 bench:

@@ -4,6 +4,7 @@ type path_analysis = {
   path : Symbex.Path.t;
   cost : Cost_vec.t;
   replay : Exec.Interp.run;
+  witness : Solver.Model.t;
   packet : Net.Packet.t;
   stubs : int list;
   in_port : int;
@@ -45,7 +46,7 @@ module Config = struct
   let with_obs obs t = { t with obs }
 end
 
-(* ---- Trace walking ------------------------------------------------- *)
+(* ---- One-pass replay and pricing (paper Alg. 2, steps 3–4) ---------- *)
 
 type snap = { ic : int; ma : int; cy : int }
 
@@ -73,75 +74,60 @@ let fidelity_of (path : Symbex.Path.t) =
     path.Symbex.Path.decisions,
     List.map (fun l -> l.Symbex.Path.name) path.Symbex.Path.loops )
 
-let replay_witness ~path ~stubs ~in_port ~now program packet =
-  let meter = Exec.Meter.create ~trace:true (Hw.Model.conservative ()) in
-  let path_id, decisions, loops = fidelity_of path in
-  let run =
-    Exec.Replay.run ~meter ~stubs ~path_id ~decisions ~loops ~in_port ~now
-      program packet
-  in
-  (run, Exec.Meter.events meter)
+(* The pricing state of one replay, advanced by the meter's marker hook
+   while the replay runs.  The hook never raises: a call or loop marker
+   that disagrees with the path is kept in [error] and raised by
+   [assemble], so a replay that goes on to diverge still reports the
+   divergence, as a trace walked after the replay did. *)
+type pricer = {
+  model : Hw.Model.t;
+  mutable calls : Symbex.Path.call list;  (** not yet matched *)
+  mutable matched : Symbex.Path.call list;  (** reversed *)
+  mutable loop : (string * snap list) option;
+      (** active PCV loop: name, reversed iteration-marker snapshots *)
+  mutable loops_done : (string * snap * snap) list;
+      (** finished loops: name, per-iteration snap, removed snap *)
+  mutable error : string option;
+}
 
-let analyze_replay ?(cycle_model = Hw.Model.conservative) ~contracts ~path
-    events =
-  Obs.Span.with_ ~cat:"pipeline" "price"
-    ~args:(fun () -> [ ("path", string_of_int path.Symbex.Path.id) ])
-  @@ fun () ->
-  let m = cycle_model () in
-  let snap () =
-    {
-      ic = m.Hw.Model.instr_count ();
-      ma = m.Hw.Model.mem_count ();
-      cy = m.Hw.Model.cycles ();
-    }
-  in
-  let calls = ref path.Symbex.Path.calls in
-  let sym_cost = ref Cost_vec.zero in
-  (* active PCV loop: (name, reversed iteration-marker snapshots) *)
-  let loop_state = ref None in
-  (* finished loops: (name, per-iteration snap, removed snap) *)
-  let loops_done = ref [] in
-  let handle_event (ev : Exec.Meter.event) =
-    match ev with
-    | Exec.Meter.E_branch _ ->
-        () (* fidelity is enforced during the replay itself (Exec.Replay) *)
-    | Exec.Meter.E_instr (kind, n) -> m.Hw.Model.instr kind n
-    | Exec.Meter.E_mem { addr; write; dependent } ->
-        m.Hw.Model.mem ~addr ~write ~dependent
-    | Exec.Meter.E_call { instance; meth; _ } -> (
-        match !calls with
+let snap m =
+  {
+    ic = m.Hw.Model.instr_count ();
+    ma = m.Hw.Model.mem_count ();
+    cy = m.Hw.Model.cycles ();
+  }
+
+let on_marker p (marker : Exec.Meter.marker) =
+  let fail msg = p.error <- Some msg in
+  if p.error = None then
+    match marker with
+    | Exec.Meter.Call { instance; meth } -> (
+        match p.calls with
         | c :: rest
           when c.Symbex.Path.instance = instance && c.Symbex.Path.meth = meth
           ->
-            calls := rest;
-            let dsc =
-              Ds_contract.find_exn contracts ~ds_kind:c.Symbex.Path.kind
-                ~meth
-            in
-            let branch =
-              Ds_contract.find_branch_exn dsc ~tag:c.Symbex.Path.tag
-            in
-            sym_cost := Cost_vec.add !sym_cost branch.Ds_contract.cost
+            p.calls <- rest;
+            p.matched <- c :: p.matched
         | _ ->
-            failwith
+            fail
               (Printf.sprintf
                  "Bolt: replay trace and symbolic path disagree at call \
                   %s.%s"
                  instance meth))
-    | Exec.Meter.E_loop_head name -> (
-        match !loop_state with
-        | None -> loop_state := Some (name, [])
-        | Some _ -> failwith "Bolt: nested PCV loops are unsupported")
-    | Exec.Meter.E_loop_iter _ -> (
-        match !loop_state with
-        | Some (name, marks) -> loop_state := Some (name, snap () :: marks)
-        | None -> failwith "Bolt: loop iteration marker outside a loop")
-    | Exec.Meter.E_loop_exit _ -> (
-        match !loop_state with
-        | None -> failwith "Bolt: loop exit marker outside a loop"
+    | Exec.Meter.Loop_head name -> (
+        match p.loop with
+        | None -> p.loop <- Some (name, [])
+        | Some _ -> fail "Bolt: nested PCV loops are unsupported")
+    | Exec.Meter.Loop_iter _ -> (
+        match p.loop with
+        | Some (name, marks) -> p.loop <- Some (name, snap p.model :: marks)
+        | None -> fail "Bolt: loop iteration marker outside a loop")
+    | Exec.Meter.Loop_exit _ -> (
+        match p.loop with
+        | None -> fail "Bolt: loop exit marker outside a loop"
         | Some (name, marks) ->
-            loop_state := None;
-            let marks = List.rev (snap () :: marks) in
+            p.loop <- None;
+            let marks = List.rev (snap p.model :: marks) in
             (* marks = [at iter1; at iter2; …; at exit] — consecutive
                differences are the per-iteration costs (body + next
                condition check). *)
@@ -153,20 +139,35 @@ let analyze_replay ?(cycle_model = Hw.Model.conservative) ~contracts ~path
             if ds <> [] then begin
               let per_iter = List.fold_left snap_max snap_zero ds in
               let removed = snap_sub (last marks) (List.hd marks) in
-              loops_done := (name, per_iter, removed) :: !loops_done
+              p.loops_done <- (name, per_iter, removed) :: p.loops_done
             end)
+
+(* The cost expression of a finished replay: its constant part, the
+   contract branch of every stateful call, and each PCV loop's
+   per-iteration cost times its PCV. *)
+let assemble ~contracts p =
+  let sym_cost =
+    List.fold_left
+      (fun acc (c : Symbex.Path.call) ->
+        let dsc =
+          Ds_contract.find_exn contracts ~ds_kind:c.Symbex.Path.kind
+            ~meth:c.Symbex.Path.meth
+        in
+        let branch = Ds_contract.find_branch_exn dsc ~tag:c.Symbex.Path.tag in
+        Cost_vec.add acc branch.Ds_contract.cost)
+      Cost_vec.zero (List.rev p.matched)
   in
-  List.iter handle_event events;
-  if !calls <> [] then
+  Option.iter failwith p.error;
+  if p.calls <> [] then
     failwith "Bolt: symbolic path had more calls than the replay trace";
-  let total = snap () in
+  let total = snap p.model in
   let removed_total =
     List.fold_left
       (fun acc (_, _, removed) ->
         { ic = acc.ic + removed.ic;
           ma = acc.ma + removed.ma;
           cy = acc.cy + removed.cy })
-      snap_zero !loops_done
+      snap_zero p.loops_done
   in
   let const_part = snap_sub total removed_total in
   let const_vec =
@@ -183,15 +184,35 @@ let analyze_replay ?(cycle_model = Hw.Model.conservative) ~contracts ~path
           ~ic:(Perf_expr.term per_iter.ic [ pcv ])
           ~ma:(Perf_expr.term per_iter.ma [ pcv ])
           ~cycles:(Perf_expr.term per_iter.cy [ pcv ]))
-      !loops_done
+      p.loops_done
   in
-  Cost_vec.sum (const_vec :: !sym_cost :: loop_vecs)
+  Cost_vec.sum (const_vec :: sym_cost :: loop_vecs)
+
+let price_witness ?(cycle_model = Hw.Model.conservative) ~contracts ~path
+    ~stubs ~in_port ~now program packet =
+  let p =
+    {
+      model = cycle_model ();
+      calls = path.Symbex.Path.calls;
+      matched = [];
+      loop = None;
+      loops_done = [];
+      error = None;
+    }
+  in
+  let meter = Exec.Meter.create ~on_marker:(on_marker p) p.model in
+  let path_id, decisions, loops = fidelity_of path in
+  let run =
+    Exec.Replay.run ~meter ~stubs ~path_id ~decisions ~loops ~in_port ~now
+      program packet
+  in
+  (run, fun () -> assemble ~contracts p)
 
 (* ---- Witness extraction --------------------------------------------- *)
 
 (* Action-kind agreement between a symbolic path and its witness replay
-   (the branch-trace check in [analyze_replay] is the fine-grained one;
-   this is the cheap outer sanity check). *)
+   (the decision-by-decision check inside the replay is the fine-grained
+   one; this is the cheap outer sanity check). *)
 let replay_matches (action : Symbex.Path.action)
     (outcome : Exec.Interp.outcome) =
   match (action, outcome) with
@@ -202,6 +223,16 @@ let replay_matches (action : Symbex.Path.action)
 
 let c_diverged = Obs.Metrics.counter "pipeline.replay_diverged"
 
+let witness_packet model input =
+  let len = Solver.Model.value model (Symbex.Spacket.len_sym input) in
+  let packet = Net.Packet.create len in
+  List.iter
+    (fun (off, sym) ->
+      if off < len then
+        Net.Packet.set_u8 packet off (Solver.Model.value model sym land 0xff))
+    (Symbex.Spacket.known_bytes input);
+  packet
+
 let witness memo (engine : Symbex.Engine.result) (path : Symbex.Path.t) =
   Obs.Span.with_ ~cat:"pipeline" "solve"
     ~args:(fun () -> [ ("path", string_of_int path.Symbex.Path.id) ])
@@ -209,23 +240,14 @@ let witness memo (engine : Symbex.Engine.result) (path : Symbex.Path.t) =
   match Solver.Cache.witness memo path.Symbex.Path.constraints with
   | Solver.Solve.Unsat | Solver.Solve.Unknown -> None
   | Solver.Solve.Sat model ->
-      let len =
-        Solver.Model.value model (Symbex.Spacket.len_sym engine.Symbex.Engine.input)
-      in
-      let packet = Net.Packet.create len in
-      List.iter
-        (fun (off, sym) ->
-          if off < len then
-            Net.Packet.set_u8 packet off
-              (Solver.Model.value model sym land 0xff))
-        (Symbex.Spacket.known_bytes engine.Symbex.Engine.input);
+      let packet = witness_packet model engine.Symbex.Engine.input in
       let stubs =
         path.Symbex.Path.calls
         |> List.map (fun c -> Solver.Model.eval model c.Symbex.Path.ret)
       in
       let in_port = Solver.Model.value model engine.Symbex.Engine.in_port in
       let now = Solver.Model.value model engine.Symbex.Engine.now in
-      Some (packet, stubs, in_port, now)
+      Some (model, packet, stubs, in_port, now)
 
 (* ---- The pipeline ---------------------------------------------------- *)
 
@@ -250,11 +272,13 @@ let analyze ~(config : Config.t) program =
     @@ fun () ->
     match witness memo engine path with
     | None -> None
-    | Some (packet, stubs, in_port, now) -> (
+    | Some (witness, packet, stubs, in_port, now) -> (
         match
           Obs.Span.with_ ~cat:"pipeline" "replay"
             ~args:(fun () -> [ ("path", string_of_int path.Symbex.Path.id) ])
-            (fun () -> replay_witness ~path ~stubs ~in_port ~now program packet)
+            (fun () ->
+              price_witness ~cycle_model:config.Config.cycle_model ~contracts
+                ~path ~stubs ~in_port ~now program packet)
         with
         | exception Exec.Interp.Stuck _ ->
             (* the witness drove the replay off the path's runtime
@@ -267,7 +291,7 @@ let analyze ~(config : Config.t) program =
                caught structurally, at the diverging statement *)
             Obs.Metrics.incr c_diverged;
             None
-        | replay, events ->
+        | replay, cost ->
             if
               not
                 (replay_matches path.Symbex.Path.action
@@ -278,10 +302,13 @@ let analyze ~(config : Config.t) program =
             end
             else
               let cost =
-                analyze_replay ~cycle_model:config.Config.cycle_model
-                  ~contracts ~path events
+                Obs.Span.with_ ~cat:"pipeline" "price"
+                  ~args:(fun () ->
+                    [ ("path", string_of_int path.Symbex.Path.id) ])
+                  cost
               in
-              Some { path; cost; replay; packet; stubs; in_port; now })
+              Some
+                { path; cost; replay; witness; packet; stubs; in_port; now })
   in
   let per_path = List.map solve_path engine.Symbex.Engine.paths in
   let unsolved =
@@ -292,9 +319,13 @@ let analyze ~(config : Config.t) program =
 
 let path_count t = List.length t.analyses
 
-let class_members t cls =
-  let member = Symbex.Iclass.matches cls t.engine in
-  List.filter (fun a -> member a.path) t.analyses
+let class_members t (cls : Symbex.Iclass.t) =
+  let predicate = cls.Symbex.Iclass.predicate t.engine in
+  List.filter
+    (fun a ->
+      Symbex.Iclass.admits cls ~witness:a.witness ~predicate ~tags:a.path
+        a.path.Symbex.Path.constraints)
+    t.analyses
 
 let class_cost t cls =
   let members = class_members t cls in

@@ -2,18 +2,22 @@
 
     [analyze] substitutes symbolic models for the stateful calls, explores
     every feasible path, solves each path's constraints for a concrete
-    witness packet, replays it through the analysis build to obtain the
-    instruction trace, and walks the trace pricing instructions with the
-    conservative hardware model — splicing in the matching performance-
-    contract branch at every stateful call, and parameterising PCV loops
-    by their trip count. *)
+    witness packet, and replays it through the analysis build, pricing
+    the replay as it runs: every instruction and memory access is charged
+    straight into the conservative hardware model, the matching
+    performance-contract branch is spliced in at every stateful call, and
+    PCV loops are parameterised by their trip count.  Alg. 2's steps 3
+    (trace) and 4 (price) are one pass; no trace is kept. *)
 
 type path_analysis = {
   path : Symbex.Path.t;
   cost : Perf.Cost_vec.t;
       (** conservative cost of this path, over PCVs *)
   replay : Exec.Interp.run;
-  packet : Net.Packet.t;  (** the witness packet *)
+      (** the witness replay, charged into [config.cycle_model] *)
+  witness : Solver.Model.t;
+      (** the model of [path]'s constraints the witness was read from *)
+  packet : Net.Packet.t;  (** the witness packet, as the replay left it *)
   stubs : int list;
   in_port : int;
   now : int;
@@ -86,11 +90,16 @@ val analyze : config:Config.t -> Ir.Program.t -> t
     When the {!Obs} runtime is enabled (via [config.obs] or
     {!Obs.enable}), the run is recorded as an [analyze] span containing
     the [explore] phase and, per path, [solve]/[replay]/[price] spans,
-    plus the symbex/solver/interp counters. *)
+    plus the symbex/solver/interp counters.  [replay] times the one pass
+    that replays and prices; [price] only the final assembly of the cost
+    expression. *)
 
 val path_count : t -> int
 
 val class_members : t -> Symbex.Iclass.t -> path_analysis list
+(** The analysed paths {!Symbex.Iclass.admits} to the class, each judged
+    with its [witness] first, so a path whose witness meets the class
+    predicate is admitted without a solve. *)
 
 val class_cost : t -> Symbex.Iclass.t -> Perf.Cost_vec.t * int
 (** Conservative (monomial-wise max) cost over the class's member paths,
@@ -119,40 +128,47 @@ exception Replay_divergence of string
     the exact diverging statement — and {!analyze} counts the path as
     unsolved. *)
 
-val replay_witness :
+val price_witness :
+  ?cycle_model:(unit -> Hw.Model.t) ->
+  contracts:Perf.Ds_contract.library ->
   path:Symbex.Path.t ->
   stubs:int list ->
   in_port:int ->
   now:int ->
   Ir.Program.t ->
   Net.Packet.t ->
-  Exec.Interp.run * Exec.Meter.event list
+  Exec.Interp.run * (unit -> Perf.Cost_vec.t)
 (** Replay a witness through {!Exec.Replay.run} against [path]'s assumed
-    decisions and PCV loops, on a fresh tracing meter.  Raises
+    decisions and PCV loops on a meter whose model is [cycle_model ()]
+    (default {!Hw.Model.conservative}), pricing it as it runs: the
+    meter's marker hook matches each stateful call against [path]'s
+    next call and snapshots the model at each PCV-loop marker.  Raises
     {!Replay_divergence} (at the diverging statement) or
-    {!Exec.Interp.Stuck}. *)
+    {!Exec.Interp.Stuck}; the packet is left as the replay wrote it.
 
-val analyze_replay :
-  ?cycle_model:(unit -> Hw.Model.t) ->
-  contracts:Perf.Ds_contract.library ->
-  path:Symbex.Path.t ->
-  Exec.Meter.event list ->
-  Perf.Cost_vec.t
-(** Walk a faithful replay trace into a cost expression (exposed for
-    chain composition).  Fidelity is already guaranteed by
-    {!replay_witness}, which produced the trace. *)
+    The second component assembles the cost expression: the constant
+    part, the [contracts] branch of every stateful call and each PCV
+    loop's per-iteration cost times its PCV.  It raises [Failure] when
+    the replay's calls or PCV loops disagreed with [path] — only when
+    forced, so a caller that first checks the replay (its divergence,
+    {!replay_matches}) reports a diverging witness as such. *)
+
+val witness_packet : Solver.Model.t -> Symbex.Spacket.input -> Net.Packet.t
+(** The concrete packet a model describes: its length symbol's value,
+    and each known byte's value (mod 256) where it lies within that
+    length; every other byte zero. *)
 
 val witness :
   Solver.Cache.memo -> Symbex.Engine.result -> Symbex.Path.t ->
-  (Net.Packet.t * int list * int * int) option
+  (Solver.Model.t * Net.Packet.t * int list * int * int) option
 (** Solve a path's constraints with {!Solver.Cache.witness}, one
     independent component at a time, remembering component verdicts in
     [memo] (one per derivation: {!analyze} makes its own), and
-    concretize the model: [(packet, stubs, in_port, now)].  The model is
+    concretize the model: [(model, packet, stubs, in_port, now)].  The model is
     the one {!Solver.Solve.check} finds on the whole set whenever no
     budget binds in that solve. *)
 
 val replay_matches : Symbex.Path.action -> Exec.Interp.outcome -> bool
 (** Action-kind agreement between a symbolic path and a concrete replay
-    (the coarse outer check; {!analyze_replay} does the fine-grained
-    branch-trace comparison). *)
+    (the coarse outer check; {!Exec.Replay.run} checks every branch
+    decision as it is made). *)

@@ -7,6 +7,12 @@ type event =
   | E_loop_exit of string
   | E_branch of bool
 
+type marker =
+  | Call of { instance : string; meth : string }
+  | Loop_head of string
+  | Loop_iter of string
+  | Loop_exit of string
+
 (* Observations live in a pair of parallel growable arrays rather than a
    list: [observe] is on the per-packet fast path of every stateful NF, and
    after the arrays have grown to the packet's high-water mark it allocates
@@ -14,39 +20,53 @@ type event =
 type t = {
   model : Hw.Model.t;
   tracing : bool;
+  on_marker : (marker -> unit) option;
   mutable events : event list;  (** reversed *)
   mutable obs_pcv : Perf.Pcv.t array;
   mutable obs_val : int array;
   mutable obs_len : int;
 }
 
-let create ?(trace = false) model =
+let create ?(trace = false) ?on_marker model =
   {
     model;
     tracing = trace;
+    on_marker;
     events = [];
     obs_pcv = Array.make 16 Perf.Pcv.expired;
     obs_val = Array.make 16 0;
     obs_len = 0;
   }
 
-let push t e = if t.tracing then t.events <- e :: t.events
+(* Markers and events are built only when a hook or the trace takes
+   them: an untraced, unhooked meter allocates nothing per charge. *)
+let push t e = t.events <- e :: t.events
 
 let instr t kind n =
   t.model.Hw.Model.instr kind n;
-  push t (E_instr (kind, n))
+  if t.tracing then push t (E_instr (kind, n))
 
 let mem t ?(write = false) ?(dependent = false) addr =
   t.model.Hw.Model.mem ~addr ~write ~dependent;
-  push t (E_mem { addr; write; dependent })
+  if t.tracing then push t (E_mem { addr; write; dependent })
 
 let call_event t ~instance ~meth ~args ~ret =
-  push t (E_call { instance; meth; args; ret })
+  (match t.on_marker with Some f -> f (Call { instance; meth }) | None -> ());
+  if t.tracing then push t (E_call { instance; meth; args; ret })
 
-let branch t taken = push t (E_branch taken)
-let loop_head t pcv = push t (E_loop_head pcv)
-let loop_iter t pcv = push t (E_loop_iter pcv)
-let loop_exit t pcv = push t (E_loop_exit pcv)
+let branch t taken = if t.tracing then push t (E_branch taken)
+
+let loop_head t pcv =
+  (match t.on_marker with Some f -> f (Loop_head pcv) | None -> ());
+  if t.tracing then push t (E_loop_head pcv)
+
+let loop_iter t pcv =
+  (match t.on_marker with Some f -> f (Loop_iter pcv) | None -> ());
+  if t.tracing then push t (E_loop_iter pcv)
+
+let loop_exit t pcv =
+  (match t.on_marker with Some f -> f (Loop_exit pcv) | None -> ());
+  if t.tracing then push t (E_loop_exit pcv)
 
 let grow t =
   let cap = Array.length t.obs_pcv in

@@ -3,8 +3,9 @@
     Every instruction and memory access executed by the interpreter and by
     the stateful data-structure implementations is charged through a
     meter.  A meter wraps a hardware model (which prices the cycles) and
-    optionally records the full event trace, which is what the BOLT
-    analysis walks to build contracts (paper Alg. 2, lines 7–15).
+    optionally records the full event trace.  The BOLT analysis reads
+    neither the trace nor a copy of it: it prices a witness replay as it
+    runs (paper Alg. 2, lines 7–15), through the meter's marker hook.
 
     Meters also log PCV observations: each data-structure call reports the
     concrete values its PCVs took (collisions seen, entries expired…),
@@ -23,11 +24,24 @@ type event =
           loops) — the replay's record of which symbolic path it actually
           followed *)
 
+type marker =
+  | Call of { instance : string; meth : string }
+      (** a stateful call returned (analysis mode only) *)
+  | Loop_head of string  (** entering a PCV loop *)
+  | Loop_iter of string  (** starting one iteration *)
+  | Loop_exit of string
+(** The structural events a pricing pass needs to see as they happen.
+    Instruction and memory charges are not markers: they go straight to
+    the model, whose counters a hook may read. *)
+
 type t
 
-val create : ?trace:bool -> Hw.Model.t -> t
+val create : ?trace:bool -> ?on_marker:(marker -> unit) -> Hw.Model.t -> t
 (** [create model] makes a meter charging into [model].  [trace] (default
-    [false]) additionally records the event list. *)
+    [false]) additionally records the event list.  [on_marker] is called
+    at each {!marker}, after every charge that precedes it in program
+    order and before any that follows, so the model's counters read at
+    that point are the cost so far. *)
 
 val instr : t -> Hw.Cost.kind -> int -> unit
 val mem : t -> ?write:bool -> ?dependent:bool -> int -> unit

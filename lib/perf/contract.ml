@@ -40,17 +40,23 @@ let predict t ~class_name binding metric =
   let e = find_exn t ~class_name in
   Cost_vec.eval binding e.cost metric
 
-let pp ppf t =
-  Fmt.pf ppf "@[<v>performance contract for %s@," t.nf;
-  List.iter
-    (fun e ->
-      Fmt.pf ppf "@,%s%s  (%d path%s)@,  @[<v>%a@]@," e.class_name
-        (if e.description = "" then "" else " — " ^ e.description)
-        e.path_count
-        (if e.path_count = 1 then "" else "s")
-        Cost_vec.pp e.cost)
-    t.entries;
-  Fmt.pf ppf "@]"
+(* Every line is built whole and the lines are printed through one
+   vertical box, so a contract nested in a caller's box indents each
+   line at the box's column. *)
+let lines t =
+  ("performance contract for " ^ t.nf)
+  :: List.concat_map
+       (fun e ->
+         ""
+         :: Printf.sprintf "%s%s  (%d path%s)" e.class_name
+              (if e.description = "" then "" else " — " ^ e.description)
+              e.path_count
+              (if e.path_count = 1 then "" else "s")
+         :: List.map (fun l -> "  " ^ l) (Cost_vec.lines e.cost))
+       t.entries
+  @ [ "" ]
+
+let pp ppf t = Fmt.(vbox (list ~sep:cut string)) ppf (lines t)
 
 let pp_metric metric ppf t =
   Fmt.pf ppf "@[<v>%s — %s@," t.nf (Metric.long_name metric);

@@ -37,6 +37,13 @@ let equal a b =
   Perf_expr.equal a.ic b.ic && Perf_expr.equal a.ma b.ma
   && Perf_expr.equal a.cycles b.cycles
 
-let pp ppf t =
-  Fmt.pf ppf "@[<v>IC:     %a@,MA:     %a@,cycles: %a@]" Perf_expr.pp t.ic
-    Perf_expr.pp t.ma Perf_expr.pp t.cycles
+let lines t =
+  let line label e =
+    let buf = Buffer.create 64 in
+    Buffer.add_string buf label;
+    Perf_expr.add_to_buffer buf e;
+    Buffer.contents buf
+  in
+  [ line "IC:     " t.ic; line "MA:     " t.ma; line "cycles: " t.cycles ]
+
+let pp ppf t = Fmt.(vbox (list ~sep:cut string)) ppf (lines t)

@@ -29,4 +29,8 @@ val eval : Pcv.binding -> t -> Metric.t -> (int, Pcv.t) result
 val eval_exn : Pcv.binding -> t -> Metric.t -> int
 val pcvs : t -> Pcv.t list
 val equal : t -> t -> bool
+val lines : t -> string list
+(** The [IC], [MA] and [cycles] rows {!pp} prints, unindented. *)
+
 val pp : Format.formatter -> t -> unit
+(** {!lines} in one vertical box. *)

@@ -1,6 +1,19 @@
 (* A monomial maps each PCV to its (positive) exponent; a polynomial maps
    each monomial to its (non-zero) coefficient. *)
 
+(* Decimal digits of [n] appended without the C formatter. *)
+let rec add_nat buf n =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_nat buf n
+  else if n = min_int then Buffer.add_string buf (Int.to_string n)
+  else begin
+    Buffer.add_char buf '-';
+    add_nat buf (-n)
+  end
+
 module Monomial = struct
   type t = (Pcv.t * int) list
   (* invariant: sorted by PCV, exponents > 0 *)
@@ -42,11 +55,16 @@ module Monomial = struct
           if c <> 0 then c else Int.compare ea eb)
         a b
 
-  let pp ppf (m : t) =
-    let pp_var ppf (v, e) =
-      if e = 1 then Pcv.pp ppf v else Fmt.pf ppf "%a^%d" Pcv.pp v e
-    in
-    Fmt.(list ~sep:(any "\u{00B7}") pp_var) ppf m
+  let add_to_buffer buf (m : t) =
+    List.iteri
+      (fun i (v, e) ->
+        if i > 0 then Buffer.add_string buf "\u{00B7}";
+        Buffer.add_string buf (Pcv.name v);
+        if e <> 1 then begin
+          Buffer.add_char buf '^';
+          add_int buf e
+        end)
+      m
 end
 
 module M = Map.Make (Monomial)
@@ -66,7 +84,8 @@ let add_coeff mono k poly =
       | Some k' -> if k + k' = 0 then None else Some (k + k'))
     poly
 
-let add a b = M.fold add_coeff a b
+let add a b =
+  M.union (fun _ ka kb -> if ka + kb = 0 then None else Some (ka + kb)) a b
 let sum = List.fold_left add zero
 
 let scale k poly =
@@ -157,17 +176,29 @@ let dominates a b =
       ka >= kb)
     b
 
-let pp ppf poly =
-  if M.is_empty poly then Fmt.string ppf "0"
+let add_to_buffer buf poly =
+  if M.is_empty poly then Buffer.add_char buf '0'
   else
-    let entries = M.bindings poly in
     (* Map is ordered by Monomial.compare: higher degree first, constant
        (empty monomial, degree 0) last. *)
-    let pp_entry ppf (mono, coeff) =
-      if mono = Monomial.empty then Fmt.int ppf coeff
-      else if coeff = 1 then Monomial.pp ppf mono
-      else Fmt.pf ppf "%d\u{00B7}%a" coeff Monomial.pp mono
-    in
-    Fmt.(list ~sep:(any " + ") pp_entry) ppf entries
+    ignore
+      (M.fold
+         (fun mono coeff first ->
+           if not first then Buffer.add_string buf " + ";
+           (match mono with
+           | [] -> add_int buf coeff
+           | _ ->
+               if coeff <> 1 then begin
+                 add_int buf coeff;
+                 Buffer.add_string buf "\u{00B7}"
+               end;
+               Monomial.add_to_buffer buf mono);
+           false)
+         poly true)
 
-let to_string = Fmt.to_to_string pp
+let to_string poly =
+  let buf = Buffer.create 64 in
+  add_to_buffer buf poly;
+  Buffer.contents buf
+
+let pp ppf poly = Format.pp_print_string ppf (to_string poly)

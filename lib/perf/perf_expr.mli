@@ -87,3 +87,7 @@ val pp : Format.formatter -> t -> unit
     last: [245·e + 144·c + 82·e·c + 882]. *)
 
 val to_string : t -> string
+(** What {!pp} prints. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append {!to_string}'s text to a buffer. *)

@@ -20,4 +20,12 @@ val union : t -> t -> t
 
 val bindings : t -> (Sym.t * int) list
 val eval : t -> Linexpr.t -> int
+
+val satisfies : t -> Constr.t list -> bool
+(** [satisfies m cs]: every constraint of [cs] holds at [m], each symbol
+    read with {!value} (so an unassigned one at its lower bound), in the
+    same native-int arithmetic {!Solve} uses ([Le l] is [eval m l <= 0],
+    [Eqz l] is [eval m l = 0]).  When every value [m] assigns lies
+    within its symbol's bounds, [true] means [cs] is satisfiable. *)
+
 val pp : Format.formatter -> t -> unit

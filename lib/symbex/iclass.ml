@@ -43,13 +43,12 @@ let requirement_holds (path : Path.t) r =
   | [] -> false
   | tags -> List.for_all (String.equal r.tag) tags
 
-let admits t ~predicate ~tags constraints =
+let admits t ?witness ~predicate ~tags constraints =
   List.for_all (requirement_holds tags) t.requires
   && List.for_all
        (fun (instance, meth) -> Path.tags_of tags ~instance ~meth = [])
        t.forbids
-  && Cache.feasible ~known:constraints predicate
-
-let matches t result =
-  let predicate = t.predicate result in
-  fun (path : Path.t) -> admits t ~predicate ~tags:path path.Path.constraints
+  && ((match witness with
+      | Some m -> Solver.Model.satisfies m predicate
+      | None -> false)
+     || Cache.feasible ~known:constraints predicate)

@@ -32,7 +32,11 @@ val req : string -> string -> string -> requirement
 (** [req instance meth tag]. *)
 
 val admits :
-  t -> predicate:Solver.Constr.t list -> tags:Path.t -> Solver.Constr.t list ->
+  t ->
+  ?witness:Solver.Model.t ->
+  predicate:Solver.Constr.t list ->
+  tags:Path.t ->
+  Solver.Constr.t list ->
   bool
 (** The membership test.  [admits t ~predicate ~tags constraints]: every
     requirement holds on [tags] (at least one call to the method, all with
@@ -45,14 +49,16 @@ val admits :
     exploration accepted, or one that already has a witness.  The test
     is {!Solver.Cache.feasible} with [constraints] as [known] and the
     predicate as the seed, so it solves only the constraints that share
-    symbols with the predicate. *)
+    symbols with the predicate.
 
-val matches : t -> Engine.result -> Path.t -> bool
-(** Path membership: {!admits} with the path's own tags and constraints
-    (the same precondition: the path has a witness, as every path
-    the analysis pipeline prices does).
-    [matches t result] applies the predicate once for every path it is
-    given. *)
+    [witness], a model of [constraints] (the one the path or route was
+    replayed on), is tried first: when {!Solver.Model.satisfies} it and
+    [predicate], the predicate is admitted without a solve.  That is
+    the verdict [feasible] would return: the witness is an in-bounds
+    model of the whole set, so its slice is satisfiable and the solver
+    answers [Sat] (or [Unknown], which [feasible] also counts as
+    satisfiable).  When the witness misses the predicate, [feasible]
+    decides, as without one. *)
 
 (** {1 Predicate helpers} *)
 

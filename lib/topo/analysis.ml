@@ -39,31 +39,48 @@ let pp_egress ppf = function
 
 (* ---- Replay of a route's witness --------------------------------------- *)
 
-let concretize_packet model (input : Symbex.Spacket.input) =
-  let len = Solver.Model.value model (Symbex.Spacket.len_sym input) in
-  let packet = Net.Packet.create len in
-  List.iter
-    (fun (off, sym) ->
-      if off < len then
-        Net.Packet.set_u8 packet off (Solver.Model.value model sym land 0xff))
-    (Symbex.Spacket.known_bytes input);
-  packet
+let c_step_memo_hits = Obs.Metrics.counter "topo.step_memo_hits"
 
-(* One step's cost, replayed on the route's concrete witness packet. *)
-let replay_cost (entry : Nf.Registry.entry) model packet step =
+(* One step's cost, replayed and priced on the route's concrete witness
+   packet, which the replay rewrites in place for the next step.  [memo]
+   holds, for one [run], the cost and output bytes of every step that
+   replayed cleanly, keyed by the step's identity (node, path id and that
+   node's [in_port] symbol, which is fresh per exploration) and by
+   everything the replay reads: the packet bytes on entry, [in_port],
+   [now] and the stub values.  A step met again on the same key is not
+   replayed; its remembered cost and output are the replay's own. *)
+let replay_cost memo (entry : Nf.Registry.entry) model packet step =
   let path = step.path in
-  let _, events =
-    Bolt.Pipeline.replay_witness ~path
-      ~stubs:
-        (List.map
-           (fun c -> Solver.Model.eval model c.Symbex.Path.ret)
-           path.Symbex.Path.calls)
-      ~in_port:(Solver.Model.value model step.in_port)
-      ~now:(Solver.Model.value model step.now)
-      entry.Nf.Registry.program packet
+  let stubs =
+    List.map
+      (fun c -> Solver.Model.eval model c.Symbex.Path.ret)
+      path.Symbex.Path.calls
   in
-  Bolt.Pipeline.analyze_replay ~contracts:entry.Nf.Registry.contracts ~path
-    events
+  let in_port = Solver.Model.value model step.in_port in
+  let now = Solver.Model.value model step.now in
+  let key =
+    ( step.node,
+      path.Symbex.Path.id,
+      Solver.Sym.id step.in_port,
+      Bytes.unsafe_to_string (Net.Packet.to_bytes packet),
+      in_port,
+      now,
+      stubs )
+  in
+  match Hashtbl.find_opt memo key with
+  | Some (cost, out) ->
+      Obs.Metrics.incr c_step_memo_hits;
+      Net.Packet.blit_string out packet 0;
+      cost
+  | None ->
+      let _, cost =
+        Bolt.Pipeline.price_witness ~contracts:entry.Nf.Registry.contracts
+          ~path ~stubs ~in_port ~now entry.Nf.Registry.program packet
+      in
+      let cost = cost () in
+      Hashtbl.replace memo key
+        (cost, Bytes.unsafe_to_string (Net.Packet.to_bytes packet));
+      cost
 
 (* ---- The walk (paper §3.4, SymNet-style) -------------------------------- *)
 
@@ -193,17 +210,19 @@ let run ?max_paths ?(models = Bolt.Ds_models.default) graph =
      traversed node replays on it; the rest are counted as unsolved.
      Routes through the same ingress path share its components. *)
   let memo = Solver.Cache.memo () in
+  let steps_memo = Hashtbl.create 64 in
   let finalize (steps_rev, egress, constraints) =
     let steps = List.rev steps_rev in
     match Solver.Cache.witness memo constraints with
     | Solver.Solve.Unsat | Solver.Solve.Unknown -> None
     | Solver.Solve.Sat model -> (
-        let packet = concretize_packet model input in
+        let packet = Bolt.Pipeline.witness_packet model input in
         match
           List.fold_left
             (fun acc st ->
               Cost_vec.add acc
-                (replay_cost (List.assoc st.node entries) model packet st))
+                (replay_cost steps_memo (List.assoc st.node entries) model
+                   packet st))
             Cost_vec.zero steps
         with
         | cost -> Some { steps; egress; constraints; witness = model; cost }
@@ -258,7 +277,7 @@ let ingress_classes t =
 (* Tag requirements and forbids are judged on the ingress path (they are
    abstract-state assumptions of the ingress NF); the class predicate,
    applied once per class, must be satisfiable together with the route's
-   joint constraints. *)
+   joint constraints — at once when the route's witness satisfies it. *)
 let class_members t (cls : Symbex.Iclass.t) =
   let predicate = cls.Symbex.Iclass.predicate t.ingress_engine in
   List.filter
@@ -266,7 +285,8 @@ let class_members t (cls : Symbex.Iclass.t) =
       let ingress_path =
         match r.steps with s :: _ -> s.path | [] -> assert false
       in
-      Symbex.Iclass.admits cls ~predicate ~tags:ingress_path r.constraints)
+      Symbex.Iclass.admits cls ~witness:r.witness ~predicate
+        ~tags:ingress_path r.constraints)
     t.routes
 
 let class_cost t cls = bound (class_members t cls)

@@ -282,6 +282,92 @@ let test_bound_no_alloc () =
     \  packet 0: IC bound 784 < measured 10000 at c=0, e=1, n=0, o=0, s=0, t=0\n"
     (Fmt.str "%a" (Bound.pp_report ~subject:"contract") (Bound.report acc))
 
+(* The Format-directive renderer the contract printers had before they
+   built each line whole, kept as the reference their output must match
+   byte for byte. *)
+let reference_pp_expr ppf poly =
+  let pp_var ppf (v, e) =
+    if e = 1 then Pcv.pp ppf v else Fmt.pf ppf "%a^%d" Pcv.pp v e
+  in
+  let pp_mono = Fmt.(list ~sep:(any "\u{00B7}") pp_var) in
+  let pp_entry ppf (mono, coeff) =
+    if mono = [] then Fmt.int ppf coeff
+    else if coeff = 1 then pp_mono ppf mono
+    else Fmt.pf ppf "%d\u{00B7}%a" coeff pp_mono mono
+  in
+  match Perf_expr.terms poly with
+  | [] -> Fmt.string ppf "0"
+  | entries -> Fmt.(list ~sep:(any " + ") pp_entry) ppf entries
+
+let reference_pp_cost ppf (v : Cost_vec.t) =
+  Fmt.pf ppf "@[<v>IC:     %a@,MA:     %a@,cycles: %a@]" reference_pp_expr
+    v.Cost_vec.ic reference_pp_expr v.Cost_vec.ma reference_pp_expr
+    v.Cost_vec.cycles
+
+let reference_pp_contract ppf (t : Contract.t) =
+  Fmt.pf ppf "@[<v>performance contract for %s@," t.Contract.nf;
+  List.iter
+    (fun (e : Contract.entry) ->
+      Fmt.pf ppf "@,%s%s  (%d path%s)@,  @[<v>%a@]@," e.Contract.class_name
+        (if e.Contract.description = "" then ""
+         else " — " ^ e.Contract.description)
+        e.Contract.path_count
+        (if e.Contract.path_count = 1 then "" else "s")
+        reference_pp_cost e.Contract.cost)
+    t.Contract.entries;
+  Fmt.pf ppf "@]"
+
+(* Every registry NF's and built-in topology's contract renders as the
+   reference does, alone and nested at an indent in a caller's box. *)
+let test_render_matches_reference () =
+  let contracts =
+    List.map
+      (fun (e : Nf.Registry.entry) ->
+        Bolt.Pipeline.contract
+          (Bolt.Pipeline.analyze
+             ~config:
+               Bolt.Pipeline.Config.(
+                 default |> with_contracts e.Nf.Registry.contracts)
+             e.Nf.Registry.program)
+          ~classes:e.Nf.Registry.classes)
+      (Nf.Registry.all ())
+    @ List.map
+        (fun (b : Topo.Builtin.entry) ->
+          Topo.Analysis.contract (Topo.Analysis.run b.Topo.Builtin.graph))
+        (Topo.Builtin.all ())
+    @ [ Contract.make ~nf:"empty" []; Contract.make ~nf:"zero"
+          [ Contract.entry ~class_name:"nothing" ~path_count:0 Cost_vec.zero ] ]
+  in
+  List.iter
+    (fun p ->
+      check_string "expression" (Fmt.str "%a" reference_pp_expr p)
+        (Perf_expr.to_string p))
+    Perf_expr.
+      [
+        zero; const 7; const (-5); const 10; const 1; const (-1);
+        const min_int; const max_int; term (-1) [ e ]; term 1 [ e; e; c ];
+        term 1234567 [ t_ ]; term (-90) [ c; t_; t_ ];
+        add (term 3 [ e; c ]) (add (term (-2) [ t_ ]) (const 99));
+      ];
+  List.iter
+    (fun (c : Contract.t) ->
+      check_string (c.Contract.nf ^ " alone")
+        (Fmt.str "%a" reference_pp_contract c)
+        (Fmt.str "%a" Contract.pp c);
+      check_string (c.Contract.nf ^ " nested")
+        (Fmt.str "@[<v 3>head@,%a@,tail@]" reference_pp_contract c)
+        (Fmt.str "@[<v 3>head@,%a@,tail@]" Contract.pp c);
+      check_string (c.Contract.nf ^ " after text")
+        (Fmt.str "@[<v>> %a@]" reference_pp_contract c)
+        (Fmt.str "@[<v>> %a@]" Contract.pp c);
+      List.iter
+        (fun (e : Contract.entry) ->
+          check_string "cost vector"
+            (Fmt.str "@[<v 5>cost@,%a@]" reference_pp_cost e.Contract.cost)
+            (Fmt.str "@[<v 5>cost@,%a@]" Cost_vec.pp e.Contract.cost))
+        c.Contract.entries)
+    contracts
+
 let suite =
   [
     Alcotest.test_case "pcv validation" `Quick test_pcv_validation;
@@ -294,6 +380,8 @@ let suite =
     Alcotest.test_case "cost vectors" `Quick test_cost_vec;
     Alcotest.test_case "ds contracts" `Quick test_ds_contract;
     Alcotest.test_case "nf contracts" `Quick test_contract;
+    Alcotest.test_case "rendering matches the Format reference" `Quick
+      test_render_matches_reference;
     QCheck_alcotest.to_alcotest prop_max_upper_sound;
     QCheck_alcotest.to_alcotest prop_eval_additive;
     QCheck_alcotest.to_alcotest prop_eval_multiplicative;

@@ -82,6 +82,35 @@ let test_model_defaults () =
       let m = Model.empty in
       check_int "default is lower bound" 0 (Model.value m x))
 
+let test_model_satisfies () =
+  let gen = Sym.gen () in
+  let x = Sym.fresh gen ~lo:3 ~hi:9 "x" and y = Sym.fresh gen ~lo:0 ~hi:9 "y" in
+  let xl = Linexpr.sym x and yl = Linexpr.sym y in
+  let c k = Linexpr.const k in
+  let m = Model.add y 5 Model.empty in
+  let sat cs = Model.satisfies m cs in
+  check_bool "unbound symbol reads its lower bound" true (sat [ Constr.eq xl (c 3) ]);
+  check_bool "and not another value" false (sat [ Constr.eq xl (c 4) ]);
+  check_bool "bound symbol reads its value" true (sat [ Constr.eq yl (c 5) ]);
+  check_bool "le at the boundary" true (sat [ Constr.le yl (c 5) ]);
+  check_bool "lt at the boundary" false (sat [ Constr.lt yl (c 5) ]);
+  check_bool "ne" true (sat [ Constr.ne yl (c 4) ]);
+  check_bool "affine: 2y - x = 7" true
+    (sat [ Constr.eq (Linexpr.sub (Linexpr.scale 2 yl) xl) (c 7) ]);
+  check_bool "empty list" true (sat []);
+  check_bool "True" true (sat [ Constr.True ]);
+  check_bool "False" false (sat [ Constr.False ]);
+  check_bool "every member must hold" false
+    (sat [ Constr.eq yl (c 5); Constr.eq xl (c 4) ]);
+  check_bool "And" false
+    (sat [ Constr.And [ Constr.Atom (Constr.Eqz (Linexpr.sub yl (c 5)));
+                       Constr.Atom (Constr.Le (Linexpr.sub xl (c 2))) ] ]);
+  check_bool "Or" true
+    (sat [ Constr.Or [ Constr.Atom (Constr.Le (Linexpr.sub xl (c 2)));
+                      Constr.Atom (Constr.Eqz (Linexpr.sub yl (c 5))) ] ]);
+  check_bool "not (x <= 2)" true
+    (sat [ Constr.not_ (Constr.le xl (c 2)) ])
+
 (* Brute-force differential testing: random constraint systems over two
    small-domain symbols; the solver must agree with exhaustive
    enumeration. *)
@@ -146,17 +175,49 @@ let prop_solver_matches_brute_force =
       match Solve.check [ formula ] with
       | Solve.Sat m ->
           (* a claimed model must actually satisfy the formula *)
-          let rec holds = function
-            | Constr.True -> true
-            | Constr.False -> false
-            | Constr.Atom (Constr.Le lin) -> Model.eval m lin <= 0
-            | Constr.Atom (Constr.Eqz lin) -> Model.eval m lin = 0
-            | Constr.And parts -> List.for_all holds parts
-            | Constr.Or parts -> List.exists holds parts
-          in
-          expected && holds formula
+          expected && Model.satisfies m [ formula ]
       | Solve.Unsat -> not expected
       | Solve.Unknown -> true)
+
+(* Admission by a model: whenever an in-bounds model satisfies a set,
+   the solver never calls the set Unsat — what lets a class test accept
+   a path on its witness without solving.  The verdict of [satisfies]
+   is also checked against an independent evaluation. *)
+let prop_satisfies_implies_not_unsat =
+  let gen = Sym.gen () in
+  let x = Sym.fresh gen ~lo:0 ~hi:7 "mx" in
+  let y = Sym.fresh gen ~lo:2 ~hi:7 "my" in
+  let open QCheck2.Gen in
+  let gen_value s =
+    let lo, hi = Sym.bounds s in
+    (* [None]: left out of the model, so read at the lower bound *)
+    opt (int_range lo hi)
+  in
+  QCheck2.Test.make ~count:500 ~name:"a satisfying model rules out Unsat"
+    (triple
+       (list_size (int_range 1 3) (gen_formula (x, y)))
+       (gen_value x) (gen_value y))
+    (fun (formulas, vx, vy) ->
+      let bind s v m = Option.fold ~none:m ~some:(fun v -> Model.add s v m) v in
+      let m = Model.empty |> bind x vx |> bind y vy in
+      let at s v = Option.value v ~default:(fst (Sym.bounds s)) in
+      let rec eval = function
+        | Constr.True -> true
+        | Constr.False -> false
+        | Constr.Atom (Constr.Le lin) ->
+            Linexpr.eval
+              (fun s -> if Sym.equal s x then at x vx else at y vy) lin
+            <= 0
+        | Constr.Atom (Constr.Eqz lin) ->
+            Linexpr.eval
+              (fun s -> if Sym.equal s x then at x vx else at y vy) lin
+            = 0
+        | Constr.And parts -> List.for_all eval parts
+        | Constr.Or parts -> List.exists eval parts
+      in
+      let sat = Model.satisfies m formulas in
+      sat = List.for_all eval formulas
+      && ((not sat) || Solve.check formulas <> Solve.Unsat))
 
 let test_unknown_is_conservative () =
   (* with the DNF budget forced to zero, the solver must give up as
@@ -203,17 +264,6 @@ let prop_cache_matches_solve =
   let gen = Sym.gen () in
   let x = Sym.fresh gen ~lo:0 ~hi:7 "cx" in
   let y = Sym.fresh gen ~lo:0 ~hi:7 "cy" in
-  let holds m =
-    let rec go = function
-      | Constr.True -> true
-      | Constr.False -> false
-      | Constr.Atom (Constr.Le lin) -> Model.eval m lin <= 0
-      | Constr.Atom (Constr.Eqz lin) -> Model.eval m lin = 0
-      | Constr.And parts -> List.for_all go parts
-      | Constr.Or parts -> List.exists go parts
-    in
-    go
-  in
   QCheck2.Test.make ~count:300 ~name:"memoized verdicts equal fresh solves"
     (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 3) (gen_formula (x, y)))
     (fun formulas ->
@@ -221,7 +271,7 @@ let prop_cache_matches_solve =
       let cached = Cache.check formulas in
       let verdicts_agree =
         match (fresh, cached) with
-        | Solve.Sat _, Solve.Sat m -> List.for_all (holds m) formulas
+        | Solve.Sat _, Solve.Sat m -> Model.satisfies m formulas
         | Solve.Unsat, Solve.Unsat | Solve.Unknown, Solve.Unknown -> true
         | _ -> false
       in
@@ -1115,6 +1165,7 @@ let suite =
     Alcotest.test_case "solve basics" `Quick test_solve_basic;
     Alcotest.test_case "solve disjunction" `Quick test_solve_disjunction;
     Alcotest.test_case "model defaults" `Quick test_model_defaults;
+    Alcotest.test_case "model satisfies" `Quick test_model_satisfies;
     Alcotest.test_case "cache under parallel domains" `Quick
       test_cache_parallel_domains;
     Alcotest.test_case "round cap" `Quick test_round_cap;
@@ -1134,5 +1185,8 @@ let suite =
       ~rand:(Random.State.make [| 18 |])
       prop_witness_matches_whole_set;
     QCheck_alcotest.to_alcotest prop_solver_matches_brute_force;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 19 |])
+      prop_satisfies_implies_not_unsat;
     QCheck_alcotest.to_alcotest prop_cache_matches_solve;
   ]

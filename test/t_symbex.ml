@@ -193,8 +193,13 @@ let test_iclass_matching () =
   let result = explore (Nf.Router.program `Trie) in
   let classes = Nf.Router.classes `Trie in
   let invalid = List.nth classes 0 and valid = List.nth classes 1 in
-  let members cls =
-    List.filter (Symbex.Iclass.matches cls result) result.Symbex.Engine.paths
+  let members (cls : Symbex.Iclass.t) =
+    let predicate = cls.Symbex.Iclass.predicate result in
+    List.filter
+      (fun (path : Symbex.Path.t) ->
+        Symbex.Iclass.admits cls ~predicate ~tags:path
+          path.Symbex.Path.constraints)
+      result.Symbex.Engine.paths
   in
   check_int "invalid class has one path" 1 (List.length (members invalid));
   check_int "valid class has one path" 1 (List.length (members valid));
@@ -209,7 +214,7 @@ let test_witness_replay_consistency () =
     (fun path ->
       match Bolt.Pipeline.witness memo result path with
       | None -> Alcotest.fail "unsolvable path"
-      | Some (packet, stubs, in_port, now) ->
+      | Some (_, packet, stubs, in_port, now) ->
           let meter = Exec.Meter.create (Hw.Model.null ()) in
           let run =
             Exec.Interp.run ~meter ~mode:(Exec.Interp.Analysis stubs)

@@ -194,6 +194,26 @@ let test_builtin_route_counts () =
   Alcotest.(check (triple int int int))
     "failover routes" (30, 25, 0) (counts "failover")
 
+(* Finalize prices a step once per run for each distinct replay input:
+   every later route step on the same node path, packet bytes, in_port,
+   now and stubs takes the remembered cost.  Pinned per built-in: 18 of
+   service_chain's 46 steps, none of branch's 24, 50 of failover's 104. *)
+let test_step_memo_hits () =
+  let hits name =
+    Obs.enable ();
+    Obs.reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        ignore (Topo.Analysis.run (Topo.Builtin.find name).Topo.Builtin.graph);
+        Obs.Metrics.value (Obs.Metrics.counter "topo.step_memo_hits"))
+  in
+  check_int "service_chain" 18 (hits "service_chain");
+  check_int "branch" 0 (hits "branch");
+  check_int "failover" 50 (hits "failover")
+
 let bind_all vecs vec metric =
   let binding =
     List.sort_uniq compare (List.concat_map Cost_vec.pcvs vecs)
@@ -397,6 +417,7 @@ let suite =
       test_topology_matches_pair;
     Alcotest.test_case "builtin route counts (pruning)" `Slow
       test_builtin_route_counts;
+    Alcotest.test_case "step memo hits" `Quick test_step_memo_hits;
     Alcotest.test_case "joint beats naive (Figure 3, network-wide)" `Slow
       test_branch_tighter_than_naive;
     Alcotest.test_case "measured replay within bound" `Slow
